@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -97,7 +96,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         eps_list,
         timeout_ms=args.timeout * 1000.0,
         benchmark_name=args.name,
-        threads=args.threads,
         progress=lambda r: print(
             f"{r.benchmark} q{r.query_index} eps={r.epsilon}: {r.status} "
             f"|{r.cardinality}| {r.ms:.1f} ms"
@@ -267,8 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     sol.add_argument("--queries", required=True, help="query file")
     sol.add_argument("--eps", default="0,0.01,0.05,0.1", help="comma list of scalar epsilon grid points")
     sol.add_argument("--eps-vec", action="append", help="extra per-objective epsilon point (repeatable)")
-    sol.add_argument("--timeout", type=float, default=300.0, help="per-task time limit in seconds")
-    sol.add_argument("--threads", type=int, default=os.cpu_count() or 1, help="worker threads")
+    sol.add_argument("--timeout", type=float, default=300.0, help="per-query search time limit in seconds")
     sol.add_argument("--name", default=None, help="benchmark name for the records CSV")
     sol.add_argument("--no-paths", action="store_true", help="omit witness paths from the solution file")
     sol.add_argument("--out-solutions", required=True, help="output solution file")

@@ -8,13 +8,11 @@ exact and independent of float rounding.
 """
 from __future__ import annotations
 
-import math
+import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import (
     DegenerateInput,
@@ -363,15 +361,10 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise LengthMismatch(f"samples of length {len(xs)} and {len(ys)}")
     if len(xs) < 2:
         raise DegenerateInput("need at least two observations")
-    x = np.asarray(xs, dtype=np.float64)
-    y = np.asarray(ys, dtype=np.float64)
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sx = math.sqrt(float(np.dot(xc, xc)))
-    sy = math.sqrt(float(np.dot(yc, yc)))
-    if sx == 0.0 or sy == 0.0:
-        raise DegenerateInput("constant sample has no correlation")
-    r = float(np.dot(xc, yc)) / (sx * sy)
+    try:
+        r = statistics.correlation(xs, ys)
+    except statistics.StatisticsError:
+        raise DegenerateInput("constant sample has no correlation") from None
     return max(-1.0, min(1.0, r))
 
 
@@ -382,7 +375,7 @@ def correlation_matrix_from_costs(
     if len(costs) < 2:
         raise EmptyGraph("need at least two cost vectors")
     d = len(costs[0])
-    cols = [np.asarray([c[k] for c in costs], dtype=np.float64) for k in range(d)]
+    cols = [[c[k] for c in costs] for k in range(d)]
     out: list[list[float | None]] = [[None] * d for _ in range(d)]
     for i in range(d):
         for j in range(i, d):

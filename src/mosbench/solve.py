@@ -1,4 +1,4 @@
-"""Exact and epsilon-approximate multi-objective shortest-path solvers.
+"""Exact multi-objective shortest-path solver and its epsilon fronts.
 
 The production solver is best-first label setting over a lexicographic
 ordering of f = g + h, with the dimensionality-reduction dominance device:
@@ -8,11 +8,11 @@ needs the (d-1)-suffix of g.  For d = 2 that suffix is a single scalar per
 vertex.  Heap keys are single big integers packing (f, vertex, insertion
 sequence), which keeps comparisons cheap and memory flat.
 
-Epsilon relaxes nothing inside the search: pruning always uses the exact
-weak-dominance rules, and epsilon only filters which target arrivals are
-admitted into the answer.  Relaxed internal pruning would compound factors
-of (1 + eps) across path prefixes and could break the coverage contract;
-admission-only filtering provably cannot.
+The search only ever computes the exact Pareto front, in lexicographic
+order.  An epsilon-approximate front is derived from it by greedy
+admission: walk the exact entries in order and keep each one that no kept
+entry epsilon-covers.  Every exact cost is then covered by a kept one, and
+every kept cost is a true path cost with its witness path.
 """
 from __future__ import annotations
 
@@ -166,35 +166,10 @@ def reference_label_search(graph: MosGraph, query: Query) -> list[tuple[Cost, tu
     return sols
 
 
-def _eps_plan(eps: Epsilon) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Per-objective (numerator, denominator) of 1 + eps, or None when zero."""
-    if eps.is_zero:
-        return None
-    ratios = eps.ratios()
-    return tuple(r[0] for r in ratios), tuple(r[1] for r in ratios)
-
-
-def _admit(cost: Cost, admitted: list[Cost], plan) -> bool:
-    """True when no admitted cost epsilon-covers the candidate.
-
-    Front members pop in lexicographic order and are pairwise distinct, so
-    the all-components test cannot fire on an exactly equal vector and the
-    strictness clause of epsilon-dominance is automatic.
-    """
-    if plan is None:
-        return True
-    nums, dens = plan
-    for s in reversed(admitted):
-        if all(s[k] * dens[k] <= nums[k] * cost[k] for k in range(len(cost))):
-            return False
-    return True
-
-
 def _search_bi(
     graph: MosGraph,
     query: Query,
     heur: HeuristicTable,
-    plan,
     deadline: float | None,
 ) -> list[tuple[Cost, tuple[int, ...]]]:
     """Specialized d=2 search; the per-vertex closed set is one scalar."""
@@ -217,7 +192,9 @@ def _search_bi(
     f2_mask = (1 << f2_bits) - 1
     v_mask = (1 << v_bits) - 1
     s_mask = (1 << s_bits) - 1
-    big = 1 << 62
+    # Above the second cost of every simple path, which includes every
+    # Pareto-optimal one.
+    big = sum(ec2) + 1
 
     g2min = [big] * (n + 1)
     tbound = big
@@ -225,7 +202,6 @@ def _search_bi(
     closed_v = array("q")
     closed_p = array("q")
     sols: list[tuple[Cost, int]] = []
-    admitted: list[Cost] = []
 
     heap = [((((h1[src] << f2_bits) | h2[src]) << v_bits | src) << s_bits)]
     push = heapq.heappush
@@ -248,10 +224,7 @@ def _search_bi(
             if g2 >= tbound:
                 continue
             tbound = g2
-            cost = ((rest >> f2_bits) - h1[tgt], g2)
-            if _admit(cost, admitted, plan):
-                admitted.append(cost)
-                sols.append((cost, pparent[seq]))
+            sols.append((((rest >> f2_bits) - h1[tgt], g2), pparent[seq]))
             continue
         if g2 >= g2min[v] or f2 >= tbound:
             continue
@@ -356,7 +329,6 @@ def _search_multi(
     graph: MosGraph,
     query: Query,
     heur: HeuristicTable,
-    plan,
     deadline: float | None,
 ) -> list[tuple[Cost, tuple[int, ...]]]:
     """General-d packed search; shares its contract with _search_bi."""
@@ -401,7 +373,6 @@ def _search_multi(
     closed_v = array("q")
     closed_p = array("q")
     sols: list[tuple[Cost, int]] = []
-    admitted: list[Cost] = []
 
     heap = [pack([hcols[k][src] for k in range(d)], src, 0)]
     pops = 0
@@ -422,10 +393,7 @@ def _search_multi(
             if store.dominated(tgt, gsuf):
                 continue
             store.insert(tgt, gsuf)
-            cost = tuple(g)
-            if _admit(cost, admitted, plan):
-                admitted.append(cost)
-                sols.append((cost, pparent[seq]))
+            sols.append((tuple(g), pparent[seq]))
             continue
         if store.dominated(v, gsuf) or store.dominated(tgt, tuple(f[1:])):
             continue
@@ -484,35 +452,11 @@ def _materialize(
     return out
 
 
-def _solve(
-    graph: MosGraph,
-    query: Query,
-    eps: Epsilon,
-    heuristic: HeuristicTable | None,
-    time_limit_ms: float | None,
-) -> SolutionSet:
-    _check_vertex(graph, query.source, "source")
-    _check_vertex(graph, query.target, "target")
-    if eps.d != graph.d:
+def _check_eps(eps: Epsilon, d: int) -> None:
+    if eps.d != d:
         raise DimensionMismatch(
-            f"epsilon has {eps.d} components, graph has {graph.d} objectives"
+            f"epsilon has {eps.d} components, graph has {d} objectives"
         )
-    if heuristic is None:
-        heuristic = ideal_point_heuristic(graph, query.target)
-    elif heuristic.target != query.target:
-        raise TargetOutOfRange(
-            f"heuristic was built for target {heuristic.target}, query wants {query.target}"
-        )
-    d = graph.d
-    if query.source == query.target:
-        entries = (SolutionEntry((0,) * d, (query.source,)),)
-        return SolutionSet(query, eps, entries)
-    deadline = None if time_limit_ms is None else monotonic() + time_limit_ms / 1000.0
-    plan = _eps_plan(eps)
-    search = _search_bi if d == 2 else _search_multi
-    found = search(graph, query, heuristic, plan, deadline)
-    entries = tuple(SolutionEntry(cost, path) for cost, path in found)
-    return SolutionSet(query, eps, entries)
 
 
 def solve_exact(
@@ -525,9 +469,47 @@ def solve_exact(
     """The complete Pareto front of a query, with witness paths.
 
     Entries arrive already sorted lexicographically by cost (the order the
-    search admits them).  A disconnected query gives an empty set.
+    search finds them).  A disconnected query gives an empty set.
     """
-    return _solve(graph, query, Epsilon.zero(graph.d), heuristic, time_limit_ms)
+    _check_vertex(graph, query.source, "source")
+    _check_vertex(graph, query.target, "target")
+    if heuristic is None:
+        heuristic = ideal_point_heuristic(graph, query.target)
+    elif heuristic.target != query.target:
+        raise TargetOutOfRange(
+            f"heuristic was built for target {heuristic.target}, query wants {query.target}"
+        )
+    d = graph.d
+    if query.source == query.target:
+        entries = (SolutionEntry((0,) * d, (query.source,)),)
+        return SolutionSet(query, Epsilon.zero(d), entries)
+    deadline = None if time_limit_ms is None else monotonic() + time_limit_ms / 1000.0
+    search = _search_bi if d == 2 else _search_multi
+    found = search(graph, query, heuristic, deadline)
+    entries = tuple(SolutionEntry(cost, path) for cost, path in found)
+    return SolutionSet(query, Epsilon.zero(d), entries)
+
+
+def _eps_front(exact: SolutionSet, eps: Epsilon) -> SolutionSet:
+    """The epsilon front of an exact one: greedy admission in entry order.
+
+    An entry is kept when no kept entry epsilon-covers it.  Exact entries
+    are pairwise distinct and lexicographically sorted, so the
+    all-components test cannot fire on an exactly equal vector and the
+    strictness clause of epsilon-dominance is automatic.
+    """
+    _check_eps(eps, exact.epsilon.d)
+    if eps.is_zero:
+        return SolutionSet(exact.query, eps, exact.entries)
+    ratios = eps.ratios()
+    kept: list[SolutionEntry] = []
+    for e in exact.entries:
+        if not any(
+            all(s * den <= num * c for s, c, (num, den) in zip(k.cost, e.cost, ratios))
+            for k in reversed(kept)
+        ):
+            kept.append(e)
+    return SolutionSet(exact.query, eps, tuple(kept))
 
 
 def solve_approx(
@@ -541,7 +523,10 @@ def solve_approx(
     """An epsilon-approximate front: every exact Pareto cost is epsilon
     dominated by (or equal to) some returned cost, and every returned cost
     is a true path cost.  With eps = 0 the output equals solve_exact."""
-    return _solve(graph, query, eps, heuristic, time_limit_ms)
+    _check_eps(eps, graph.d)
+    return _eps_front(
+        solve_exact(graph, query, heuristic, time_limit_ms=time_limit_ms), eps
+    )
 
 
 def brute_force_pareto(

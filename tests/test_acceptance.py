@@ -294,7 +294,7 @@ def test_07_disconnected_query_empty_status(tmp_path):
     code = main(
         [
             "solve", "--graph", str(tmp_path / "g.gr"),
-            "--queries", str(tmp_path / "q.txt"), "--threads", "1",
+            "--queries", str(tmp_path / "q.txt"),
             "--out-solutions", str(tmp_path / "s.sol"),
             "--out-records", str(tmp_path / "r.csv"),
         ]
@@ -335,7 +335,7 @@ def test_08_byte_identical_reruns(tmp_path):
         run(
             [
                 "solve", "--graph", base / "grid.gr", "--queries", base / "grid.q",
-                "--threads", 1, "--out-solutions", base / "grid.sol",
+                "--out-solutions", base / "grid.sol",
                 "--out-records", base / "grid.csv",
             ]
         )

@@ -200,7 +200,7 @@ def solve_small(tmp_path, extra=(), eps="0,0.01,0.05,0.1"):
     return run_main(
         [
             "solve", "--graph", tmp_path / "g.gr", "--queries", tmp_path / "q.txt",
-            "--eps", eps, "--threads", 1,
+            "--eps", eps,
             "--out-solutions", tmp_path / "s.sol",
             "--out-records", tmp_path / "r.csv",
             *extra,

@@ -41,7 +41,7 @@ from mosbench.protocol import (
     verify_coverage,
     verify_solutions,
 )
-from mosbench.solve import solve_exact
+from mosbench.solve import solve_approx, solve_exact
 
 from conftest import diamond_graph, random_graph
 
@@ -121,14 +121,25 @@ class TestRunBenchmark:
         _, records = run_benchmark(g, [q], progress=seen.append)
         assert seen == records
 
-    def test_threaded_matches_serial(self):
-        g, q = generate_grid(GridSpec(k=6, m=6, seed=9))
-        serial_sets, serial_recs = run_benchmark(g, [q])
-        thread_sets, thread_recs = run_benchmark(g, [q], threads=3)
-        assert [s.entries for s in thread_sets] == [s.entries for s in serial_sets]
-        assert [(r.epsilon, r.cardinality, r.status) for r in thread_recs] == [
-            (r.epsilon, r.cardinality, r.status) for r in serial_recs
-        ]
+    def test_one_search_per_query(self, monkeypatch):
+        import mosbench.solve
+
+        search = mosbench.solve._search_bi
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return search(*args)
+
+        monkeypatch.setattr(mosbench.solve, "_search_bi", counted)
+        g, q = generate_grid(GridSpec(k=6, m=6, d=2, seed=9))
+        sets, records = run_benchmark(g, [q])
+        assert calls == [q]
+        eps_list = EpsilonGrid().epsilons(2)
+        assert [ss.epsilon for ss in sets] == eps_list
+        for ss, eps in zip(sets, eps_list):
+            assert ss.entries == solve_approx(g, q, eps).entries
+        assert [r.cardinality for r in records] == [ss.cardinality for ss in sets]
 
 
 class TestVerifySolutions:

@@ -11,6 +11,7 @@ from mosbench.core import (
     MosGraph,
     Objective,
     Query,
+    SolutionEntry,
     eps_covers,
     path_cost,
 )
@@ -175,7 +176,7 @@ class TestExactSearch:
             g = random_graph(rng, rng.randint(2, 12), 0.3, 2)
             q = Query(1, g.num_vertices, 0)
             h = ideal_point_heuristic(g, q.target)
-            multi = _search_multi(g, q, h, None, None)
+            multi = _search_multi(g, q, h, None)
             assert [c for c, _ in multi] == [
                 e.cost for e in solve_exact(g, q).entries
             ]
@@ -188,6 +189,14 @@ class TestExactSearch:
         )
         ss = solve_exact(g, Query(1, 2, 0))
         assert [e.cost for e in ss.entries] == [(100, 101), (101, 100)]
+
+    def test_large_second_cost_matches_brute_force(self):
+        # a second cost of 2^62 is a valid cost, not a 'no label yet' marker
+        g = MosGraph(2, ((1, 2, (1, 1 << 62)),), (Objective("a"), Objective("b")))
+        q = Query(1, 2, 0)
+        want = brute_force_pareto(g, q).entries
+        assert want == ((SolutionEntry((1, 1 << 62), (1, 2)),))
+        assert solve_exact(g, q).entries == want
 
     def test_endpoint_validation(self):
         g, _ = diamond_graph()
