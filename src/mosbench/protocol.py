@@ -15,6 +15,7 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import le, sub
 from pathlib import Path
 from time import monotonic
 from typing import Callable, Sequence
@@ -163,34 +164,53 @@ class VerificationReport:
 
 
 def _path_can_cost(graph: MosGraph, path: Sequence[int], cost: Cost) -> bool:
-    """Whether some choice among parallel edges gives the path this exact cost."""
+    """Whether some choice among parallel edges gives the path this exact cost.
+
+    Each hop's arcs come from its tail's row of out_csr.  Hops with a single
+    arc are subtracted from the cost up front; the other hops are walked
+    level by level over the set of costs still to be covered, each kept only
+    while it lies within the componentwise [min, max] sums of the hops after
+    it.  The cost is reachable when the zero vector is left after the last
+    hop.  Equal remainders merge, so the work grows with the number of
+    distinct partial sums, not of arc choices.
+    """
     d = graph.d
-    options: list[list[Cost]] = []
+    off, nbr, cols = graph.out_csr
+    single: list[int] = []  # out_csr positions of the hops with one arc
+    options: list[set[Cost]] = []
     for u, v in zip(path, path[1:]):
-        opts = sorted(
-            {c for (a, b, c) in graph.edges if a == u and b == v}
-        )
-        if not opts:
+        start, end = off[u], off[u + 1]
+        row = nbr[start:end]
+        arcs = row.count(v)
+        if arcs == 0:
             return False
-        options.append(opts)
-    mins = [
-        tuple(min(o[k] for o in opts) for k in range(d)) for opts in options
-    ]
-    suffix_min = [(0,) * d] * (len(options) + 1)
-    for i in range(len(options) - 1, -1, -1):
-        suffix_min[i] = tuple(mins[i][k] + suffix_min[i + 1][k] for k in range(d))
-
-    def walk(i: int, acc: Cost) -> bool:
-        if any(acc[k] + suffix_min[i][k] > cost[k] for k in range(d)):
+        first = start + row.index(v)
+        if arcs == 1:
+            single.append(first)
+        else:
+            opts = {tuple(col[p] for col in cols) for p in range(first, end) if nbr[p] == v}
+            options.append(opts)
+    # lo[i], hi[i]: componentwise min and max sums of the hops options[i:].
+    lo = [(0,) * d]
+    hi = [(0,) * d]
+    for opts in reversed(options):
+        lo.append(tuple(a + min(o[k] for o in opts) for k, a in enumerate(lo[-1])))
+        hi.append(tuple(a + max(o[k] for o in opts) for k, a in enumerate(hi[-1])))
+    lo.reverse()
+    hi.reverse()
+    level = {tuple(c - sum(col[p] for p in single) for c, col in zip(cost, cols))}
+    for i, opts in enumerate(options, 1):
+        lo_i, hi_i = lo[i], hi[i]
+        level = {
+            r
+            for acc in level
+            for o in opts
+            for r in (tuple(map(sub, acc, o)),)
+            if all(map(le, lo_i, r)) and all(map(le, r, hi_i))
+        }
+        if not level:
             return False
-        if i == len(options):
-            return acc == cost
-        for opt in options[i]:
-            if walk(i + 1, tuple(acc[k] + opt[k] for k in range(d))):
-                return True
-        return False
-
-    return walk(0, (0,) * d)
+    return (0,) * d in level
 
 
 def verify_solutions(

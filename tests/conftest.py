@@ -65,3 +65,11 @@ def line_graph(costs: list[tuple[int, ...]]) -> MosGraph:
         edges=edges,
         objectives=tuple(Objective(f"c{i + 1}") for i in range(d)),
     )
+
+
+def twin_arc_chain(hops: int) -> MosGraph:
+    """Path 1 -> 2 -> ... -> hops + 1 with arcs (1, 2) and (2, 1) on every hop."""
+    edges = tuple(
+        e for u in range(1, hops + 1) for e in ((u, u + 1, (1, 2)), (u, u + 1, (2, 1)))
+    )
+    return MosGraph(hops + 1, edges, (Objective("a"), Objective("b")))

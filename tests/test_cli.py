@@ -13,8 +13,16 @@ import pytest
 import mosbench
 from mosbench.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from mosbench.core import Epsilon, Query, SolutionEntry, SolutionSet
-from mosbench.formats import read_graph, read_solutions, write_graph, write_solutions
+from mosbench.formats import (
+    read_graph,
+    read_solutions,
+    write_graph,
+    write_queries,
+    write_solutions,
+)
 from mosbench.protocol import read_records
+
+from conftest import twin_arc_chain
 
 DIST = "p sp 3 3\na 1 2 40\na 2 3 7\na 3 1 12\n"
 TIME = "p sp 3 3\na 1 2 5\na 2 3 9\na 3 1 2\n"
@@ -328,6 +336,37 @@ class TestVerify:
             ]
         )
         assert code == EXIT_OK
+
+    def test_multigraph_witness_costs(self, tmp_path, capsys):
+        hops = 1200
+        graph = twin_arc_chain(hops)
+        query = Query(1, hops + 1, 0)
+        write_graph(graph, tmp_path / "g.gr")
+        write_queries([query], tmp_path / "q.txt")
+        path = tuple(range(1, hops + 2))
+
+        def verify(cost):
+            ss = SolutionSet(query, Epsilon.zero(2), (SolutionEntry(cost, path),))
+            write_solutions([ss], tmp_path / "s.sol", objectives=graph.objectives)
+            code = run_main(
+                [
+                    "verify", "--graph", tmp_path / "g.gr",
+                    "--queries", tmp_path / "q.txt",
+                    "--solutions", tmp_path / "s.sol",
+                ]
+            )
+            out, err = capsys.readouterr()
+            assert "Traceback" not in out + err
+            return code, out
+
+        # (2, 1) on one hop, the lexicographic minimum (1, 2) on the others
+        code, out = verify((hops + 1, 2 * hops - 1))
+        assert code == EXIT_OK, out
+        assert "0 violations" in out
+        # no choice of arcs sums to a cost whose components add up to 3 * hops + 1
+        code, out = verify((hops + 1, 2 * hops))
+        assert code == EXIT_VERIFICATION
+        assert "CostMismatch" in out
 
     def test_usage_errors(self, tmp_path, capsys):
         assert run_main(["verify"]) == EXIT_USAGE

@@ -1,10 +1,15 @@
 """Protocol: benchmark runs, verification, descriptive statistics, CSV."""
 from __future__ import annotations
 
+import itertools
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mosbench.core import (
     Epsilon,
@@ -35,6 +40,7 @@ from mosbench.protocol import (
     records_to_csv,
     reduction_csv,
     reduction_stats,
+    _path_can_cost,
     run_benchmark,
     spread_csv,
     spread_stats,
@@ -43,7 +49,45 @@ from mosbench.protocol import (
 )
 from mosbench.solve import solve_approx, solve_exact
 
-from conftest import diamond_graph, random_graph
+from conftest import diamond_graph, random_graph, twin_arc_chain
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError inside the block after `seconds`, instead of hanging."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@st.composite
+def multigraph_paths(draw):
+    """A small multigraph, a walk in it, and the arcs of each of the walk's hops.
+
+    Every hop has 1-3 parallel arcs; other arcs leave the same tails toward
+    other heads.  Costs may be zero, and hops and vertices may repeat.
+    """
+    d = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(1, 4))
+    vertex = st.integers(1, n)
+    cost = st.tuples(*[st.integers(0, 3)] * d)
+    path = draw(st.lists(vertex, min_size=1, max_size=9))
+    hops = sorted(set(zip(path, path[1:])))
+    edges = [(u, v, c) for u, v in hops for c in draw(st.lists(cost, min_size=1, max_size=3))]
+    extra = draw(st.lists(st.tuples(vertex, vertex, cost), max_size=4))
+    edges += [(u, v, c) for u, v, c in extra if (u, v) not in hops]
+    edges = draw(st.permutations(edges))
+    g = MosGraph(n, tuple(edges), tuple(Objective(f"c{k + 1}") for k in range(d)))
+    arcs = [[c for a, b, c in g.edges if (a, b) == hop] for hop in zip(path, path[1:])]
+    return g, path, arcs
 
 
 class TestEpsilonGrid:
@@ -212,6 +256,41 @@ class TestVerifySolutions:
             (SolutionEntry((100, 101), (1, 2)), SolutionEntry((101, 100), (1, 2))),
         )
         assert verify_solutions(g, q, ss).clean
+
+    def test_long_parallel_arc_path_verifies(self):
+        # 1,500 hops used to exceed the recursion limit of a per-hop DFS.
+        hops = 1500
+        g = twin_arc_chain(hops)
+        q = Query(1, hops + 1, 0)
+        # (2, 1) on the first 10 hops, the lexicographic minimum (1, 2) after.
+        cost = (hops + 10, 2 * hops - 10)
+        ss = SolutionSet(q, Epsilon.zero(2), (SolutionEntry(cost, tuple(range(1, hops + 2))),))
+        assert verify_solutions(g, q, ss).clean
+
+    def test_unreachable_cost_on_many_parallel_hops_is_reported(self):
+        # Every choice of arcs sums to (40 + j, 80 - j): the components add up
+        # to 120, never to 121.  A DFS over the choices tries up to 2^40 of them.
+        hops = 40
+        g = twin_arc_chain(hops)
+        q = Query(1, hops + 1, 0)
+        ss = SolutionSet(q, Epsilon.zero(2), (SolutionEntry((61, 60), tuple(range(1, hops + 2))),))
+        with deadline(10):
+            report = verify_solutions(g, q, ss)
+        assert [v.split(":")[0] for v in report.violations] == ["CostMismatch"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(multigraph_paths(), st.data())
+    def test_path_can_cost_matches_brute_force(self, case, data):
+        g, path, arcs = case
+        sums = {
+            tuple(sum(c[k] for c in pick) for k in range(g.d))
+            for pick in itertools.product(*arcs)
+        }
+        reachable = data.draw(st.sampled_from(sorted(sums)))
+        assert _path_can_cost(g, path, reachable)
+        top = 3 * (len(path) - 1) + 1
+        other = data.draw(st.tuples(*[st.integers(0, top)] * g.d))
+        assert _path_can_cost(g, path, other) == (other in sums)
 
     def test_pathless_entries_get_set_level_checks_only(self):
         g, q, ss = self.graph_and_set()
