@@ -27,6 +27,7 @@ from .errors import (
     NonPositiveClearance,
     RootOutOfRange,
 )
+from .formats import _int
 
 # Fixed-point scale for real-valued roadmap objectives.
 FIXED_SCALE = 10**6
@@ -280,9 +281,9 @@ def parse_guards_map(path: str | Path) -> GuardGrid:
             continue
         tokens = line.split()
         if tokens[0] == "height" and len(tokens) == 2:
-            height = int(tokens[1])
+            height = _int(tokens[1], i, "height")
         elif tokens[0] == "width" and len(tokens) == 2:
-            width = int(tokens[1])
+            width = _int(tokens[1], i, "width")
         elif tokens[0] == "map" and len(tokens) == 1:
             break
         else:
@@ -449,7 +450,8 @@ def read_roadmap(path: str | Path) -> ClearanceRoadmap:
                 raise Malformed(lineno, "duplicate problem line")
             if len(tokens) != 4 or tokens[1] != "panda":
                 raise Malformed(lineno, f"expected 'p panda V E', got {raw!r}")
-            nv, ne = int(tokens[2]), int(tokens[3])
+            nv = _int(tokens[2], lineno, "configuration count")
+            ne = _int(tokens[3], lineno, "edge count")
             continue
         if tokens[0] == "v":
             if nv < 0:
@@ -467,9 +469,13 @@ def read_roadmap(path: str | Path) -> ClearanceRoadmap:
                 raise Malformed(
                     lineno, f"expected 'e u v dist' plus 7 clearances, got {len(tokens)} fields"
                 )
-            u = int(tokens[1])
-            v = int(tokens[2])
+            u = _int(tokens[1], lineno, "edge tail")
+            v = _int(tokens[2], lineno, "edge head")
+            if not (1 <= u <= nv) or not (1 <= v <= nv):
+                raise Malformed(lineno, f"roadmap edge ({u}, {v}) endpoint outside 1..{nv}")
             jd = _decimal(tokens[3], lineno, "joint distance")
+            if jd < 0:
+                raise Malformed(lineno, f"negative joint distance on edge ({u}, {v})")
             cls = tuple(_decimal(t, lineno, "clearance") for t in tokens[4:])
             if any(d <= 0 for d in cls):
                 raise NonPositiveClearance(f"line {lineno}: clearance <= 0")

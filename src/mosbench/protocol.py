@@ -35,6 +35,7 @@ from .core import (
 )
 from .errors import (
     AllExcluded,
+    DimensionMismatch,
     MissingBaseline,
     NoRecords,
     NonEdge,
@@ -218,12 +219,18 @@ def verify_solutions(
 ) -> VerificationReport:
     """Check witness feasibility, cost recomputation, dedup, non-dominance.
 
-    Entries without witness paths only get the set-level checks.
+    Entries without witness paths only get the set-level checks.  A cost
+    with a different number of components than the graph has objectives
+    raises DimensionMismatch.
     """
     v: list[str] = []
     costs = solset.costs()
     seen: dict[Cost, int] = {}
     for i, c in enumerate(costs):
+        if len(c) != graph.d:
+            raise DimensionMismatch(
+                f"entry {i} has {len(c)} cost components, graph has {graph.d} objectives"
+            )
         if c in seen:
             v.append(f"Duplicate: entry {i} repeats the cost of entry {seen[c]}")
         else:

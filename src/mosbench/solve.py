@@ -79,31 +79,31 @@ def dijkstra_bound(graph: MosGraph, target: int, objective: int) -> list[float]:
 class HeuristicTable:
     """Componentwise lower bounds to one target (the ideal-point heuristic).
 
-    vectors[v] is None when v cannot reach the target at all; otherwise it
-    is a d-tuple with h_i(v) <= cost_i of every v-to-target path.
+    columns[k][v] is h_k(v) <= cost_k of every v-to-target path, or -1 when
+    v cannot reach the target at all; index 0 of each column is unused.
     """
 
     target: int
-    vectors: tuple[Cost | None, ...]
+    columns: tuple[tuple[int, ...], ...]
 
     def bound(self, v: int) -> Cost | None:
-        return self.vectors[v]
+        b = tuple(col[v] for col in self.columns)
+        return None if b[0] < 0 else b
 
 
 def ideal_point_heuristic(graph: MosGraph, target: int) -> HeuristicTable:
-    """One reverse Dijkstra per objective, zipped into per-vertex vectors.
+    """One reverse Dijkstra per objective, each kept as a column.
 
     Reachability of the target is a structural property, so either every
-    component of a vertex is finite or none is.
+    column holds -1 at a vertex or none does.
     """
-    tables = [dijkstra_bound(graph, target, k) for k in range(graph.d)]
-    vectors: list[Cost | None] = [None]
-    for v in range(1, graph.num_vertices + 1):
-        if tables[0][v] == INF:
-            vectors.append(None)
-        else:
-            vectors.append(tuple(int(t[v]) for t in tables))
-    return HeuristicTable(target, tuple(vectors))
+    return HeuristicTable(
+        target,
+        tuple(
+            tuple(-1 if x == INF else x for x in dijkstra_bound(graph, target, k))
+            for k in range(graph.d)
+        ),
+    )
 
 
 @dataclass(eq=False)
@@ -177,12 +177,7 @@ def _search_bi(
     src, tgt = query.source, query.target
     off, nbr, cols = graph.out_csr
     ec1, ec2 = cols
-    h1 = [-1] * (n + 1)
-    h2 = [-1] * (n + 1)
-    for v in range(1, n + 1):
-        b = heur.vectors[v]
-        if b is not None:
-            h1[v], h2[v] = b
+    h1, h2 = heur.columns
     if h1[src] < 0:
         return []
 
@@ -336,12 +331,7 @@ def _search_multi(
     d = graph.d
     src, tgt = query.source, query.target
     off, nbr, cols = graph.out_csr
-    hcols = [[-1] * (n + 1) for _ in range(d)]
-    for v in range(1, n + 1):
-        b = heur.vectors[v]
-        if b is not None:
-            for k in range(d):
-                hcols[k][v] = b[k]
+    hcols = heur.columns
     if hcols[0][src] < 0:
         return []
 

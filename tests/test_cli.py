@@ -368,6 +368,23 @@ class TestVerify:
         assert code == EXIT_VERIFICATION
         assert "CostMismatch" in out
 
+    def test_cost_with_wrong_dimension_is_an_error(self, tmp_path, capsys):
+        # a d=2 graph whose path 1-2-3 costs (3, 3), and a d=3 front for it
+        (tmp_path / "g.gr").write_text("p mosp 3 2 2\na 1 2 1 2\na 2 3 2 1\n")
+        (tmp_path / "q.txt").write_text("q 1 3\n")
+        (tmp_path / "s.sol").write_text("r 0 0,0,0 1\nx 3 3 999 : 1 2 3\n")
+        code = run_main(
+            [
+                "verify", "--graph", tmp_path / "g.gr",
+                "--queries", tmp_path / "q.txt",
+                "--solutions", tmp_path / "s.sol",
+            ]
+        )
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert "violations" not in out
+        assert err.startswith("error: ") and "3 cost components" in err
+
     def test_usage_errors(self, tmp_path, capsys):
         assert run_main(["verify"]) == EXIT_USAGE
         assert run_main(["verify", "--solutions", tmp_path / "s.sol"]) == EXIT_USAGE

@@ -277,11 +277,16 @@ class TestGuardMap:
             ("height 1\nwidth 2\n0 0\n", Malformed),
             ("width 2\nmap\n0 0\n", DimensionMismatch),
             ("height 1\nwidth 2\nmap\n0 -3\n", BadToken),
+            ("height x\n", Malformed),
+            ("height 1\nwidth 2x\n", Malformed),
         ],
     )
     def test_malformed(self, tmp_path, text, exc):
-        with pytest.raises(exc):
+        with pytest.raises(exc) as err:
             parse_guards_map(write(tmp_path, "m.map", text))
+        if exc is Malformed:
+            # each malformed header case breaks on its last line
+            assert err.value.line_number == text.count("\n")
 
     def test_grid_invariant_enforced(self):
         with pytest.raises(BadToken):
@@ -428,11 +433,17 @@ class TestRoadmap:
             "p panda 1 1\nv 0 0 0 0 0 0 0\n",
             "p panda 1 0\nz\n",
             "",
+            "p panda x 0\n",
+            "p panda 1 1\nv 0 0 0 0 0 0 0\ne 1 q 1 1 1 1 1 1 1 1\n",
+            "p panda 1 1\nv 0 0 0 0 0 0 0\ne 1 2 1 1 1 1 1 1 1 1\n",
+            "p panda 1 1\nv 0 0 0 0 0 0 0\ne 1 1 -1 1 1 1 1 1 1 1\n",
         ],
     )
     def test_malformed(self, tmp_path, text):
-        with pytest.raises(Malformed):
+        with pytest.raises(Malformed) as err:
             read_roadmap(write(tmp_path, "r.pan", text))
+        # each case breaks on its last line (line 0 for the empty file)
+        assert err.value.line_number == text.count("\n")
 
     def test_nonpositive_clearance_rejected(self, tmp_path):
         bad = (

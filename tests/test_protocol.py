@@ -21,6 +21,7 @@ from mosbench.core import (
 )
 from mosbench.errors import (
     AllExcluded,
+    DimensionMismatch,
     MissingBaseline,
     NoRecords,
     QueryMismatch,
@@ -277,6 +278,13 @@ class TestVerifySolutions:
         with deadline(10):
             report = verify_solutions(g, q, ss)
         assert [v.split(":")[0] for v in report.violations] == ["CostMismatch"]
+
+    def test_cost_with_wrong_dimension_raises(self):
+        # the path costs (1, 4); a third cost component must not be ignored
+        g, q = diamond_graph()
+        ss = SolutionSet(q, Epsilon.zero(3), (SolutionEntry((1, 4, 999), (1, 2, 4)),))
+        with pytest.raises(DimensionMismatch):
+            verify_solutions(g, q, ss)
 
     @settings(max_examples=300, deadline=None)
     @given(multigraph_paths(), st.data())

@@ -85,11 +85,18 @@ class TestIdealPointHeuristic:
             t = rng.randint(1, g.num_vertices)
             h = ideal_point_heuristic(g, t)
             per_obj = [dijkstra_bound(g, t, k) for k in range(3)]
+            assert len(h.columns) == 3
             for v in range(1, g.num_vertices + 1):
                 if per_obj[0][v] == INF:
                     assert h.bound(v) is None
                 else:
                     assert h.bound(v) == tuple(int(per_obj[k][v]) for k in range(3))
+                # -1 marks exactly the vertices that cannot reach the target
+                for k in range(3):
+                    if per_obj[k][v] == INF:
+                        assert h.columns[k][v] == -1
+                    else:
+                        assert h.columns[k][v] == per_obj[k][v]
 
     def test_consistency_across_edges(self):
         rng = random.Random(73)
