@@ -12,6 +12,8 @@ import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -106,26 +108,16 @@ class MosGraph:
         return self._csr(forward=False)
 
     def _csr(self, forward: bool) -> tuple[list[int], list[int], list[list[int]]]:
-        n = self.num_vertices
-        d = self.d
-        counts = [0] * (n + 2)
-        for u, v, _ in self.edges:
-            counts[(u if forward else v) + 1] += 1
-        off = [0] * (n + 2)
-        for i in range(1, n + 2):
-            off[i] = off[i - 1] + counts[i]
-        pos = off[:]
-        m = len(self.edges)
-        nbr = [0] * m
-        cols = [[0] * m for _ in range(d)]
-        for u, v, cost in self.edges:
-            src, dst = (u, v) if forward else (v, u)
-            p = pos[src]
-            pos[src] = p + 1
-            nbr[p] = dst
-            for k in range(d):
-                cols[k][p] = cost[k]
-        return off, nbr, cols
+        row, col = map(itemgetter, (0, 1) if forward else (1, 0))
+        # A stable sort keeps edge-tuple order within each row; the searches'
+        # tie order and witness paths depend on it.
+        arcs = sorted(self.edges, key=row)
+        counts = [0] * (self.num_vertices + 1)
+        for v in map(row, arcs):
+            counts[v] += 1
+        costs = list(map(itemgetter(2), arcs))
+        cols = [list(map(itemgetter(k), costs)) for k in range(self.d)]
+        return list(accumulate(counts, initial=0)), list(map(col, arcs)), cols
 
     def out_degree(self, v: int) -> int:
         off = self.out_csr[0]
@@ -215,11 +207,11 @@ class Epsilon:
 
     def ratios(self) -> tuple[tuple[int, int], ...]:
         """(numerator, denominator) of 1 + eps_i per objective."""
-        out = []
-        for v in self.values:
-            r = 1 + v
-            out.append((r.numerator, r.denominator))
-        return tuple(out)
+        return self._ratios
+
+    @cached_property
+    def _ratios(self) -> tuple[tuple[int, int], ...]:
+        return tuple(((1 + v).numerator, (1 + v).denominator) for v in self.values)
 
     def display(self) -> str:
         """Canonical text: a single scalar when uniform, else a comma list."""

@@ -8,6 +8,11 @@ The graph format is a small extension of the familiar DIMACS arc layout:
     s <scale_1> ... <scale_d>          (only when a scale differs from 1)
     a <u> <v> <c_1> ... <c_d>
 
+A line is its keyword, one space, then fields split on any whitespace.
+write_graph raises ValueError for an objective name or metadata key that
+_NAME_RE does not match, and for a metadata value with a line break or with
+leading or trailing whitespace: those would not read back as written.
+
 Query files hold `q <source> <target>` lines whose file order defines the
 query index.  Solution files hold one block per (query, epsilon) pair:
 
@@ -37,7 +42,7 @@ from .core import (
 )
 from .errors import Malformed
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
+_NAME_RE = re.compile(r"[A-Za-z0-9_.\-]+")
 
 
 def _int(token: str, lineno: int, what: str) -> int:
@@ -56,16 +61,21 @@ def write_graph(graph: MosGraph, path: str | Path) -> None:
     out: list[str] = []
     names = [o.name for o in graph.objectives]
     for name in names:
-        if not _NAME_RE.match(name):
+        if not _NAME_RE.fullmatch(name):
             raise ValueError(f"objective name {name!r} is not writable")
     out.append(f"c objectives {','.join(names)}")
     for key in sorted(graph.metadata):
-        out.append(f"c meta {key} {graph.metadata[key]}")
+        value = str(graph.metadata[key])
+        if not _NAME_RE.fullmatch(key):
+            raise ValueError(f"metadata key {key!r} is not writable")
+        if "".join(value.splitlines()) != value or value != value.strip():
+            raise ValueError(f"metadata value {value!r} of {key!r} is not writable")
+        out.append(f"c meta {key} {value}")
     out.append(f"p mosp {graph.num_vertices} {graph.num_edges} {graph.d}")
     if any(o.scale != 1 for o in graph.objectives):
         out.append("s " + " ".join(str(o.scale) for o in graph.objectives))
-    for u, v, cost in sorted(graph.edges):
-        out.append(f"a {u} {v} " + " ".join(str(c) for c in cost))
+    arc = "a %s %s" + " %s" * graph.d
+    out += [arc % (u, v, *cost) for u, v, cost in sorted(graph.edges)]
     Path(path).write_text("\n".join(out) + "\n", encoding="ascii")
 
 
@@ -84,6 +94,28 @@ def read_graph(path: str | Path) -> MosGraph:
         if not line:
             continue
         kind, _, rest = line.partition(" ")
+        if kind == "a":
+            if num_edges < 0:
+                raise Malformed(lineno, "arc before problem line")
+            tokens = rest.split()
+            if len(tokens) != 2 + d:
+                raise Malformed(
+                    lineno, f"expected 'a u v' plus {d} costs, got {len(tokens)} fields"
+                )
+            try:
+                u, v, *cost = map(int, tokens)
+            except ValueError:  # redo field by field: the first bad one raises, named
+                _int(tokens[0], lineno, "arc tail")
+                _int(tokens[1], lineno, "arc head")
+                for t in tokens[2:]:
+                    _int(t, lineno, "arc cost")
+                raise
+            if not (1 <= u <= num_vertices) or not (1 <= v <= num_vertices):
+                raise Malformed(lineno, f"arc endpoint out of range 1..{num_vertices}")
+            if min(cost) < 0:
+                raise Malformed(lineno, "negative arc cost")
+            edges.append((u, v, tuple(cost)))
+            continue
         if kind == "c":
             words = rest.split()
             if len(words) >= 2 and words[0] == "objectives":
@@ -114,23 +146,6 @@ def read_graph(path: str | Path) -> MosGraph:
             scales = [_int(t, lineno, "scale") for t in tokens]
             if any(s < 1 for s in scales):
                 raise Malformed(lineno, "scales must be >= 1")
-            continue
-        if kind == "a":
-            if num_edges < 0:
-                raise Malformed(lineno, "arc before problem line")
-            tokens = rest.split()
-            if len(tokens) != 2 + d:
-                raise Malformed(
-                    lineno, f"expected 'a u v' plus {d} costs, got {len(tokens)} fields"
-                )
-            u = _int(tokens[0], lineno, "arc tail")
-            v = _int(tokens[1], lineno, "arc head")
-            cost = tuple(_int(t, lineno, "arc cost") for t in tokens[2:])
-            if not (1 <= u <= num_vertices) or not (1 <= v <= num_vertices):
-                raise Malformed(lineno, f"arc endpoint out of range 1..{num_vertices}")
-            if any(c < 0 for c in cost):
-                raise Malformed(lineno, "negative arc cost")
-            edges.append((u, v, cost))
             continue
         raise Malformed(lineno, f"unknown line keyword {kind!r}")
     if num_edges < 0:

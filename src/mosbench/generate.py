@@ -69,6 +69,10 @@ def generate_grid(spec: GridSpec) -> tuple[MosGraph, Query]:
     the leftmost column and the rightmost column feeds an auxiliary target
     (id k*m+2), both through zero-cost edges, so the returned query spans
     the whole grid while the front reflects interior trade-offs only.
+
+    Interior edges come in row-major cell order (per cell the pair to its
+    right, then the pair below, forward first), and each takes the next d
+    draws of uniform_int(cost_low, cost_high) from the TAG_COSTS substream.
     """
     k, m, d = spec.k, spec.m, spec.d
     rng = substream(spec.seed, TAG_COSTS)
@@ -77,21 +81,20 @@ def generate_grid(spec: GridSpec) -> tuple[MosGraph, Query]:
     def vid(x: int, y: int) -> int:
         return (y - 1) * k + x
 
-    def draw() -> tuple[int, ...]:
-        return tuple(rng.uniform_int(lo, hi) for _ in range(d))
-
-    edges: list[tuple[int, int, tuple[int, ...]]] = []
+    arcs: list[tuple[int, int]] = []
     for y in range(1, m + 1):
         for x in range(1, k + 1):
             v = vid(x, y)
             if x < k:
                 r = vid(x + 1, y)
-                edges.append((v, r, draw()))
-                edges.append((r, v, draw()))
+                arcs += ((v, r), (r, v))
             if y < m:
                 b = vid(x, y + 1)
-                edges.append((v, b, draw()))
-                edges.append((b, v, draw()))
+                arcs += ((v, b), (b, v))
+    # d consecutive draws per arc, in arc order: uniform_int(lo, hi) inline.
+    bounded, span = rng.bounded, hi - lo + 1
+    draws = iter([lo + bounded(span) for _ in range(len(arcs) * d)])
+    edges = [(u, v, cost) for (u, v), cost in zip(arcs, zip(*[draws] * d))]
     source = k * m + 1
     target = k * m + 2
     zero = (0,) * d

@@ -142,6 +142,15 @@ class TestEpsilonType:
     def test_ratios(self):
         e = Epsilon.broadcast(Fraction(1, 20), 2)
         assert e.ratios() == ((21, 20), (21, 20))
+        mixed = Epsilon((Fraction(0), Fraction(1, 3), Fraction(5, 2)))
+        assert mixed.ratios() == ((1, 1), (4, 3), (7, 2))
+
+    def test_ratios_computed_once(self):
+        e = Epsilon.broadcast(Fraction(1, 10), 3)
+        assert e.ratios() is e.ratios()
+        # the cache is not part of equality or hashing
+        fresh = Epsilon.broadcast(Fraction(1, 10), 3)
+        assert e == fresh and hash(e) == hash(fresh)
 
 
 class TestParetoFilter:
@@ -226,6 +235,31 @@ class TestGraphAndPathCost:
             for i in range(off[u], off[u + 1]):
                 rebuilt.append((u, nbr[i], (cols[0][i], cols[1][i])))
         assert sorted(rebuilt) == sorted(g.edges)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_csr_rows_keep_edge_order(self, d):
+        rng = random.Random(60 + d)
+        for _ in range(20):
+            n = rng.randint(1, 9)
+            # few endpoints, so parallel arcs, self-loops and isolated vertices all occur
+            ends = range(1, min(n, rng.randint(1, 5)) + 1)
+            edges = []
+            for _ in range(rng.randint(0, 25)):
+                cost = tuple(rng.randint(0, 4) for _ in range(d))
+                edges.append((rng.choice(ends), rng.choice(ends), cost))
+                if rng.random() < 0.3:
+                    edges.append(edges[-1])
+            g = MosGraph(n, tuple(edges), tuple(Objective(f"c{i}") for i in range(d)))
+            for csr, row, col in ((g.out_csr, 0, 1), (g.in_csr, 1, 0)):
+                off, nbr, cols = csr
+                assert len(off) == n + 2 and off[0] == off[1] == 0
+                assert len(cols) == d
+                assert off[n + 1] == len(nbr) == len(edges)
+                for v in range(1, n + 1):
+                    # naive reference: the arcs of row v, in edge-tuple order
+                    want = [(e[col], e[2]) for e in edges if e[row] == v]
+                    got = [(nbr[i], tuple(c[i] for c in cols)) for i in range(off[v], off[v + 1])]
+                    assert got == want
 
 
 class TestPearson:

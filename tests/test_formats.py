@@ -2,9 +2,12 @@
 from __future__ import annotations
 
 import random
+import string
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mosbench.core import (
     Epsilon,
@@ -106,6 +109,111 @@ class TestGraphFormat:
         with pytest.raises(Malformed) as err:
             read_graph(p)
         assert err.value.line_number == 3
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("a x 2 3 4 5", "arc tail: expected integer, got 'x'"),
+            ("a 1 y 3 4 5", "arc head: expected integer, got 'y'"),
+            ("a 1 2 3 z 5", "arc cost: expected integer, got 'z'"),
+            ("a 1 2 3 4 w", "arc cost: expected integer, got 'w'"),
+            ("a x 2 3 4 w", "arc tail: expected integer, got 'x'"),
+            ("a 1 2 3.0 4 5", "arc cost: expected integer, got '3.0'"),
+            ("a 1 4 3 4 5", "arc endpoint out of range 1..3"),
+            ("a 0 2 3 4 5", "arc endpoint out of range 1..3"),
+            ("a 1 2 3 -4 5", "negative arc cost"),
+            ("a 1 2 3 4 -5", "negative arc cost"),
+            ("a\t1 2 3 4 5", "unknown line keyword 'a\\t1'"),
+        ],
+    )
+    def test_malformed_arc_line(self, tmp_path, line, message):
+        p = tmp_path / "bad.gr"
+        p.write_text(f"c objectives a,b,c\np mosp 3 2 3\na 1 2 0 0 0\n\n{line}\n")
+        with pytest.raises(Malformed) as err:
+            read_graph(p)
+        assert err.value.reason == message
+        assert err.value.line_number == 5
+
+    def test_arc_fields_may_be_separated_by_any_whitespace(self, tmp_path):
+        p = tmp_path / "tabs.gr"
+        p.write_text("p mosp 3 2 2\na 1\t2\t3 4\na  2 \t 3   0\t7  \n")
+        assert read_graph(p).edges == ((1, 2, (3, 4)), (2, 3, (0, 7)))
+
+    @pytest.mark.parametrize(
+        "metadata",
+        [
+            {"k y": "v"},
+            {"": "v"},
+            {"k\n": "v"},
+            {"k": " v "},
+            {"k": "v "},
+            {"k": "\tv"},
+            {"k": "a\nb"},
+            {"k": "a\rb"},
+            {"k": "v\n"},
+            {"k": "a\x0bb"},
+            {"k": "a\x1cb"},
+            {"k": "a\x85b"},
+        ],
+        ids=lambda m: repr(m),
+    )
+    def test_unwritable_metadata_is_rejected(self, tmp_path, metadata):
+        g = MosGraph(1, (), (Objective("x"),), metadata)
+        p = tmp_path / "m.gr"
+        with pytest.raises(ValueError, match="metadata"):
+            write_graph(g, p)
+        assert not p.exists()
+
+    @pytest.mark.parametrize("name", ["a b", "a,b", "", "a\n"])
+    def test_unwritable_objective_name_is_rejected(self, tmp_path, name):
+        g = MosGraph(1, (), (Objective(name),), {})
+        with pytest.raises(ValueError, match="objective name"):
+            write_graph(g, tmp_path / "o.gr")
+
+    def test_metadata_edge_cases_round_trip(self, tmp_path):
+        metadata = {"empty": "", "gap": "a  b", "tab": "a\tb", "A-b_c.9": "x,y=z"}
+        g = MosGraph(1, (), (Objective("x"),), metadata)
+        p = tmp_path / "m.gr"
+        write_graph(g, p)
+        assert read_graph(p).metadata == metadata
+
+
+_META_KEY = st.text(string.ascii_letters + string.digits + "_.-", min_size=1, max_size=6)
+_META_VALUE = st.text(string.printable, max_size=8).filter(
+    lambda v: "".join(v.splitlines()) == v == v.strip()
+)
+
+
+@st.composite
+def writable_graphs(draw) -> MosGraph:
+    """Graphs write_graph accepts: parallel arcs, zero costs, scales, metadata."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    cost = st.tuples(*[st.integers(0, 3) | st.integers(0, 2**70)] * d)
+    arc = st.tuples(st.integers(1, n), st.integers(1, n), cost)
+    arcs = draw(st.lists(arc, max_size=12))
+    arcs += draw(st.lists(st.sampled_from(arcs), max_size=4)) if arcs else []
+    scales = draw(st.lists(st.sampled_from((1, 1, 10, 1000000)), min_size=d, max_size=d))
+    return MosGraph(
+        num_vertices=n,
+        edges=tuple(arcs),
+        objectives=tuple(Objective(f"o{i}", s) for i, s in enumerate(scales)),
+        metadata=draw(st.dictionaries(_META_KEY, _META_VALUE, max_size=3)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(writable_graphs())
+def test_graph_write_read_write_is_byte_identical(tmp_path_factory, g):
+    p = tmp_path_factory.mktemp("rt") / "g.gr"
+    write_graph(g, p)
+    first = p.read_bytes()
+    back = read_graph(p)
+    assert sorted(back.edges) == sorted(g.edges)
+    assert back.objectives == g.objectives
+    assert back.metadata == g.metadata
+    write_graph(back, p)
+    assert p.read_bytes() == first
 
 
 class TestQueryFormat:

@@ -5,7 +5,7 @@ from collections import deque
 
 import pytest
 
-from mosbench.core import MosGraph
+from mosbench.core import MosGraph, Query
 from mosbench.errors import EmptyGraph, ExhaustedPairs, WindowTooSmall
 from mosbench.generate import (
     CYCLE_BANDS,
@@ -47,6 +47,30 @@ class TestGrid:
             assert g.num_edges == interior + 2 * m
             assert q.source == k * m + 1
             assert q.target == k * m + 2
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_known_answer(self, d):
+        # hand-built expectation: interior pairs in row-major cell order, the
+        # right pair then the down pair, forward first; d draws per edge
+        k, m, seed = 4, 3, 17 + d
+        rng = substream(seed, TAG_COSTS)
+        expected = []
+        for y in range(1, m + 1):
+            for x in range(1, k + 1):
+                v = (y - 1) * k + x
+                pairs = []
+                if x < k:
+                    pairs += [(v, v + 1), (v + 1, v)]
+                if y < m:
+                    pairs += [(v, v + k), (v + k, v)]
+                for a, b in pairs:
+                    expected.append((a, b, tuple(rng.uniform_int(2, 9) for _ in range(d))))
+        zero = (0,) * d
+        expected += [(k * m + 1, (y - 1) * k + 1, zero) for y in range(1, m + 1)]
+        expected += [(y * k, k * m + 2, zero) for y in range(1, m + 1)]
+        g, q = generate_grid(GridSpec(k=k, m=m, d=d, seed=seed, cost_low=2, cost_high=9))
+        assert g.edges == tuple(expected)
+        assert (g.num_vertices, q) == (k * m + 2, Query(k * m + 1, k * m + 2, 0))
 
     def test_costs_in_declared_range(self):
         g, _ = generate_grid(GridSpec(k=9, m=8, d=3, seed=5))

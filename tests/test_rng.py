@@ -92,3 +92,33 @@ def test_substreams_diverge_by_purpose():
 
 def test_substream_matches_xor_seed():
     assert substream(5, TAG_COSTS).next_u64() == SplitMix64(5 ^ TAG_COSTS).next_u64()
+
+
+def _reference_bounded(r: SplitMix64, n: int) -> int:
+    """Lemire's multiply-shift over next_u64: reject while the low word is
+    below 2**64 mod n."""
+    while True:
+        m = r.next_u64() * n
+        if m & ((1 << 64) - 1) >= (1 << 64) % n:
+            return m >> 64
+
+
+@pytest.mark.parametrize("n", [1, 10, 2**63 + 1, 2**64 - 1])
+def test_bounded_matches_reference(n):
+    r, ref = SplitMix64(n ^ 0x5EED), SplitMix64(n ^ 0x5EED)
+    assert [r.bounded(n) for _ in range(2000)] == [_reference_bounded(ref, n) for _ in range(2000)]
+    # both consumed the same number of raw outputs
+    assert r.next_u64() == ref.next_u64()
+
+
+def test_bounded_rejection_path_is_taken():
+    # 2**64 mod (2**63 + 1) is 2**63 - 1, so about half the draws are rejected
+    r = SplitMix64(8)
+    for _ in range(100):
+        r.bounded(2**63 + 1)
+    raw = SplitMix64(8)
+    used = 0
+    while raw._state != r._state:
+        raw.next_u64()
+        used += 1
+    assert used > 150
