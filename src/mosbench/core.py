@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from operator import itemgetter
+from operator import itemgetter, sub
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -96,6 +96,22 @@ class MosGraph:
             if cur is None or cost < cur:
                 best[key] = cost
         return best
+
+    @cached_property
+    def _parallel_arcs(self) -> dict[tuple[int, int], tuple[tuple[Cost, ...], Cost, Cost]]:
+        # (u, v) pairs with more than one distinct arc cost: each distinct cost
+        # minus the lexicographic minimum (the zero delta first), then the
+        # componentwise min and max of those deltas.  Built on first use.
+        best = self._min_edge_cost
+        deltas: dict[tuple[int, int], set[Cost]] = {}
+        for u, v, cost in self.edges:
+            base = best[u, v]
+            if cost != base:
+                deltas.setdefault((u, v), {(0,) * self.d}).add(tuple(map(sub, cost, base)))
+        return {
+            hop: (tuple(sorted(ds)), tuple(map(min, zip(*ds))), tuple(map(max, zip(*ds))))
+            for hop, ds in deltas.items()
+        }
 
     @cached_property
     def out_csr(self) -> tuple[list[int], list[int], list[list[int]]]:
@@ -248,24 +264,21 @@ def path_cost(graph: MosGraph, path: Sequence[int]) -> Cost:
     """Sum edge costs along a vertex path; a single vertex costs zero.
 
     Parallel edges resolve to the lexicographically smallest cost.  Raises
-    NonEdge if a consecutive pair is not an arc.
+    NonEdge for an empty path, naming the first out-of-range vertex, or
+    naming the first consecutive pair that is not an arc.
     """
     if not path:
         raise NonEdge("empty path")
     n = graph.num_vertices
-    for v in path:
-        if not (1 <= v <= n):
-            raise NonEdge(f"path vertex {v} out of range 1..{n}")
-    d = graph.d
-    total = [0] * d
-    lookup = graph._min_edge_cost
-    for u, v in zip(path, path[1:]):
-        cost = lookup.get((u, v))
-        if cost is None:
-            raise NonEdge(f"({u}, {v}) is not an arc of the graph")
-        for k in range(d):
-            total[k] += cost[k]
-    return tuple(total)
+    if min(path) < 1 or max(path) > n:
+        v = next(v for v in path if not 1 <= v <= n)
+        raise NonEdge(f"path vertex {v} out of range 1..{n}")
+    hops = list(zip(path, path[1:]))
+    costs = list(map(graph._min_edge_cost.get, hops))
+    if None in costs:
+        u, v = hops[costs.index(None)]
+        raise NonEdge(f"({u}, {v}) is not an arc of the graph")
+    return tuple(map(sum, zip(*costs))) or (0,) * graph.d
 
 
 def _check_pair(p: Sequence[int], q: Sequence[int]) -> None:
@@ -321,10 +334,12 @@ def eps_covers(p: Sequence[int], q: Sequence[int], eps: Epsilon) -> bool:
 def pareto_filter(costs: Iterable[Cost]) -> list[Cost]:
     """The non-dominated subset, deduplicated, sorted lexicographically.
 
-    After a lexicographic sort no vector can dominate an earlier one, so a
-    single forward sweep against the retained front suffices.
+    After a lexicographic sort no vector can dominate an earlier one.  For
+    d=2 a vector is then dominated exactly when an earlier one has a second
+    cost no larger, so one sweep keeps the running minimum of the second
+    cost; other d sweep against the retained front.
     """
-    pool = sorted(set(tuple(c) for c in costs))
+    pool = sorted(set(map(tuple, costs)))
     if not pool:
         return []
     d = len(pool[0])
@@ -332,6 +347,13 @@ def pareto_filter(costs: Iterable[Cost]) -> list[Cost]:
         if len(c) != d:
             raise DimensionMismatch("mixed cost vector lengths")
     front: list[Cost] = []
+    if d == 2:
+        low = pool[0][1] + 1
+        for c in pool:
+            if c[1] < low:
+                front.append(c)
+                low = c[1]
+        return front
     for c in pool:
         dominated = False
         for k in front:

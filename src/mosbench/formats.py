@@ -52,6 +52,15 @@ def _int(token: str, lineno: int, what: str) -> int:
         raise Malformed(lineno, f"{what}: expected integer, got {token!r}") from None
 
 
+def _ints(tokens: Sequence[str], lineno: int, what: str) -> tuple[int, ...]:
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:  # redo field by field: the first bad one raises, named
+        for t in tokens:
+            _int(t, lineno, what)
+        raise
+
+
 def _lines(path: str | Path) -> list[str]:
     return Path(path).read_text(encoding="ascii").splitlines()
 
@@ -279,14 +288,14 @@ def read_solutions(
             if ":" in body:
                 sep = body.index(":")
                 cost_tokens, path_tokens = body[:sep], body[sep + 1 :]
-                path_part = tuple(_int(t, lineno, "path vertex") for t in path_tokens)
+                path_part = _ints(path_tokens, lineno, "path vertex")
                 if not path_part:
                     raise Malformed(lineno, "empty witness path")
             else:
                 cost_tokens = body
             if len(cost_tokens) != d:
                 raise Malformed(lineno, f"expected {d} cost components, got {len(cost_tokens)}")
-            cost = tuple(_int(t, lineno, "cost") for t in cost_tokens)
+            cost = _ints(cost_tokens, lineno, "cost")
             if any(c < 0 for c in cost):
                 raise Malformed(lineno, "negative cost")
             entries.append(SolutionEntry(cost, path_part))

@@ -15,7 +15,7 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import le, sub
+from operator import add, le, sub
 from pathlib import Path
 from time import monotonic
 from typing import Callable, Sequence
@@ -31,6 +31,7 @@ from .core import (
     dominates,
     eps_covers,
     objective_correlation_matrix,
+    pareto_filter,
     path_cost,
 )
 from .errors import (
@@ -167,51 +168,43 @@ class VerificationReport:
 def _path_can_cost(graph: MosGraph, path: Sequence[int], cost: Cost) -> bool:
     """Whether some choice among parallel edges gives the path this exact cost.
 
-    Each hop's arcs come from its tail's row of out_csr.  Hops with a single
-    arc are subtracted from the cost up front; the other hops are walked
-    level by level over the set of costs still to be covered, each kept only
-    while it lies within the componentwise [min, max] sums of the hops after
-    it.  The cost is reachable when the zero vector is left after the last
-    hop.  Equal remainders merge, so the work grows with the number of
-    distinct partial sums, not of arc choices.
+    path_cost takes the lexicographically smallest arc of every hop, so what
+    is left to cover is cost - path_cost(path).  Only the hops with more than
+    one distinct arc cost can change that; their alternatives come from the
+    graph's cached table of deltas over the smallest arc.  Those hops are
+    walked level by level over the set of remainders still to be covered,
+    each kept only while it lies within the componentwise [min, max] delta
+    sums of the hops after it.  The cost is reachable when the zero vector is
+    left after the last such hop.  Equal remainders merge, so the work grows
+    with the number of distinct partial sums, not of arc choices.
     """
-    d = graph.d
-    off, nbr, cols = graph.out_csr
-    single: list[int] = []  # out_csr positions of the hops with one arc
-    options: list[set[Cost]] = []
-    for u, v in zip(path, path[1:]):
-        start, end = off[u], off[u + 1]
-        row = nbr[start:end]
-        arcs = row.count(v)
-        if arcs == 0:
-            return False
-        first = start + row.index(v)
-        if arcs == 1:
-            single.append(first)
-        else:
-            opts = {tuple(col[p] for col in cols) for p in range(first, end) if nbr[p] == v}
-            options.append(opts)
-    # lo[i], hi[i]: componentwise min and max sums of the hops options[i:].
-    lo = [(0,) * d]
-    hi = [(0,) * d]
-    for opts in reversed(options):
-        lo.append(tuple(a + min(o[k] for o in opts) for k, a in enumerate(lo[-1])))
-        hi.append(tuple(a + max(o[k] for o in opts) for k, a in enumerate(hi[-1])))
+    try:
+        base = path_cost(graph, path)
+    except NonEdge:
+        return False
+    table = graph._parallel_arcs
+    hops = [table[hop] for hop in zip(path, path[1:]) if hop in table]
+    zero = (0,) * graph.d
+    # lo[i], hi[i]: componentwise min and max delta sums of the hops hops[i:].
+    lo = [zero]
+    hi = [zero]
+    for _, dlo, dhi in reversed(hops):
+        lo.append(tuple(map(add, lo[-1], dlo)))
+        hi.append(tuple(map(add, hi[-1], dhi)))
     lo.reverse()
     hi.reverse()
-    level = {tuple(c - sum(col[p] for p in single) for c, col in zip(cost, cols))}
-    for i, opts in enumerate(options, 1):
-        lo_i, hi_i = lo[i], hi[i]
+    level = {tuple(map(sub, cost, base))}
+    for (deltas, _, _), lo_i, hi_i in zip(hops, lo[1:], hi[1:]):
         level = {
             r
             for acc in level
-            for o in opts
+            for o in deltas
             for r in (tuple(map(sub, acc, o)),)
             if all(map(le, lo_i, r)) and all(map(le, r, hi_i))
         }
         if not level:
             return False
-    return (0,) * d in level
+    return zero in level
 
 
 def verify_solutions(
@@ -221,7 +214,9 @@ def verify_solutions(
 
     Entries without witness paths only get the set-level checks.  A cost
     with a different number of components than the graph has objectives
-    raises DimensionMismatch.
+    raises DimensionMismatch.  Dominance is checked against the set's
+    sort-and-sweep Pareto front; only an entry off that front is compared
+    pairwise, in entry order, to name the first entry that dominates it.
     """
     v: list[str] = []
     costs = solset.costs()
@@ -235,7 +230,10 @@ def verify_solutions(
             v.append(f"Duplicate: entry {i} repeats the cost of entry {seen[c]}")
         else:
             seen[c] = i
+    front = set(pareto_filter(costs))
     for i, ci in enumerate(costs):
+        if ci in front:
+            continue
         for j, cj in enumerate(costs):
             if i != j and dominates(cj, ci):
                 v.append(f"DominanceViolation: entry {i} is dominated by entry {j}")
@@ -244,10 +242,10 @@ def verify_solutions(
         if entry.path is None:
             continue
         p = entry.path
-        if p[0] != query.source:
+        if p and p[0] != query.source:
             v.append(f"PathStart: entry {i} starts at {p[0]}, query source is {query.source}")
             continue
-        if p[-1] != query.target:
+        if p and p[-1] != query.target:
             v.append(f"PathEnd: entry {i} ends at {p[-1]}, query target is {query.target}")
             continue
         try:

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mosbench.core import (
     Epsilon,
@@ -181,6 +183,14 @@ class TestParetoFilter:
             for q in front:
                 assert p == q or not dominates(p, q)
 
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda d: st.lists(st.tuples(*[st.integers(0, 4)] * d), max_size=40)
+        )
+    )
+    def test_matches_brute_force_for_any_dimension(self, costs):
+        assert pareto_filter(costs) == self.oracle(costs)
+
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionMismatch):
             pareto_filter([(1, 2), (1, 2, 3)])
@@ -209,6 +219,27 @@ class TestGraphAndPathCost:
             path_cost(g, [1, 3])
         with pytest.raises(NonEdge):
             path_cost(g, [1, 2, 9])
+
+    def test_first_out_of_range_vertex_is_named(self):
+        g = MosGraph(3, ((1, 2, (1, 1)),), (Objective("a"), Objective("b")))
+        with pytest.raises(NonEdge) as err:
+            path_cost(g, [1, 2, 7, 0, 9])
+        assert str(err.value) == "path vertex 7 out of range 1..3"
+        with pytest.raises(NonEdge) as err:
+            path_cost(g, [0, 2, 7])
+        assert str(err.value) == "path vertex 0 out of range 1..3"
+
+    def test_first_non_arc_hop_is_named(self):
+        g = MosGraph(3, ((1, 2, (1, 1)), (2, 3, (1, 1))), (Objective("a"), Objective("b")))
+        with pytest.raises(NonEdge) as err:
+            path_cost(g, [1, 2, 3, 1, 3, 2])
+        assert str(err.value) == "(3, 1) is not an arc of the graph"
+
+    def test_empty_path_raises(self):
+        g = MosGraph(2, ((1, 2, (1, 1)),), (Objective("a"), Objective("b")))
+        with pytest.raises(NonEdge) as err:
+            path_cost(g, [])
+        assert str(err.value) == "empty path"
 
     def test_parallel_edges_use_lexicographic_minimum(self):
         g = MosGraph(

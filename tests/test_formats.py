@@ -351,6 +351,24 @@ class TestSolutionFormat:
             read_solutions(p)
         assert frag in str(err.value)
 
+    @pytest.mark.parametrize(
+        "entry,message",
+        [
+            ("x 1 2 : 1 v 3", "path vertex: expected integer, got 'v'"),
+            ("x 1 2 : 1 2.0 x", "path vertex: expected integer, got '2.0'"),
+            ("x 1 y 3 : 1 3", "cost: expected integer, got 'y'"),
+            ("x 1 2 z : 1 3", "cost: expected integer, got 'z'"),
+            ("x 1 2 z", "cost: expected integer, got 'z'"),
+        ],
+    )
+    def test_malformed_entry_field(self, tmp_path, entry, message):
+        p = tmp_path / "bad.sol"
+        p.write_text(f"r 0 0,0,0 2\nx 0 0 9 : 1 3\n\n{entry}\n")
+        with pytest.raises(Malformed) as err:
+            read_solutions(p)
+        assert err.value.reason == message
+        assert err.value.line_number == 4
+
     def test_query_index_bound_checked(self, tmp_path):
         p = tmp_path / "s.sol"
         p.write_text("r 5 0,0 0\n")

@@ -18,6 +18,7 @@ from mosbench.core import (
     Query,
     SolutionEntry,
     SolutionSet,
+    dominates,
 )
 from mosbench.errors import (
     AllExcluded,
@@ -187,6 +188,30 @@ class TestRunBenchmark:
         assert [r.cardinality for r in records] == [ss.cardinality for ss in sets]
 
 
+@st.composite
+def unsorted_cost_sets(draw):
+    """d in 1..4 and a list of costs in any order, with duplicates and ties."""
+    d = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.tuples(*[st.integers(0, 3)] * d), min_size=1, max_size=12))
+    return d, draw(st.lists(st.sampled_from(pool), max_size=30))
+
+
+def pairwise_set_violations(costs):
+    """verify_solutions's set-level checks, written as a pairwise loop in entry order."""
+    out, seen = [], {}
+    for i, c in enumerate(costs):
+        if c in seen:
+            out.append(f"Duplicate: entry {i} repeats the cost of entry {seen[c]}")
+        else:
+            seen[c] = i
+    for i, ci in enumerate(costs):
+        for j, cj in enumerate(costs):
+            if i != j and dominates(cj, ci):
+                out.append(f"DominanceViolation: entry {i} is dominated by entry {j}")
+                break
+    return out
+
+
 class TestVerifySolutions:
     def test_solver_output_is_clean(self):
         rng = random.Random(31)
@@ -278,6 +303,20 @@ class TestVerifySolutions:
         with deadline(10):
             report = verify_solutions(g, q, ss)
         assert [v.split(":")[0] for v in report.violations] == ["CostMismatch"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(unsorted_cost_sets())
+    def test_set_checks_match_pairwise_reference(self, case):
+        d, costs = case
+        g = MosGraph(1, (), tuple(Objective(f"c{k + 1}") for k in range(d)))
+        q = Query(1, 1, 0)
+        ss = SolutionSet(q, Epsilon.zero(d), tuple(SolutionEntry(c) for c in costs))
+        assert verify_solutions(g, q, ss).violations == pairwise_set_violations(costs)
+
+    def test_empty_path_is_reported_as_broken(self):
+        g, q = diamond_graph()
+        ss = SolutionSet(q, Epsilon.zero(2), (SolutionEntry((2, 2), ()),))
+        assert verify_solutions(g, q, ss).violations == ["PathBroken: entry 0: empty path"]
 
     def test_cost_with_wrong_dimension_raises(self):
         # the path costs (1, 4); a third cost component must not be ignored
