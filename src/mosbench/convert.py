@@ -68,6 +68,10 @@ def _parse_gr(path: str | Path) -> tuple[int, int, list[tuple[int, int, int]]]:
                 n, m = int(tokens[2]), int(tokens[3])
             except ValueError:
                 raise Malformed(lineno, f"{name}: non-integer problem sizes") from None
+            if n < 1:
+                raise Malformed(lineno, f"{name}: vertex count must be >= 1")
+            if m < 0:
+                raise Malformed(lineno, f"{name}: arc count must be >= 0")
             continue
         if tokens[0] == "a":
             if n < 0:
@@ -213,14 +217,13 @@ def extract_connected_subgraph(
     if limit is not None and limit < 1:
         raise ValueError("limit must be positive")
     cap = n if limit is None else min(limit, n)
-    off, nbr, _ = graph.out_csr
+    arcs = graph.out_arcs
     order: list[int] = [root]
     new_id = {root: 1}
     queue = deque((root,))
     while queue and len(order) < cap:
         u = queue.popleft()
-        for i in range(off[u], off[u + 1]):
-            w = nbr[i]
+        for _, w, _ in arcs[u]:
             if w not in new_id:
                 new_id[w] = len(order) + 1
                 order.append(w)
@@ -452,6 +455,10 @@ def read_roadmap(path: str | Path) -> ClearanceRoadmap:
                 raise Malformed(lineno, f"expected 'p panda V E', got {raw!r}")
             nv = _int(tokens[2], lineno, "configuration count")
             ne = _int(tokens[3], lineno, "edge count")
+            if nv < 0:
+                raise Malformed(lineno, "configuration count must be >= 0")
+            if ne < 0:
+                raise Malformed(lineno, "edge count must be >= 0")
             continue
         if tokens[0] == "v":
             if nv < 0:

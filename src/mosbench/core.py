@@ -12,7 +12,6 @@ import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
 from operator import itemgetter, sub
 from typing import Iterable, Sequence
 
@@ -114,34 +113,30 @@ class MosGraph:
         }
 
     @cached_property
-    def out_csr(self) -> tuple[list[int], list[int], list[list[int]]]:
-        """Forward adjacency as (offsets, neighbor ids, per-objective cost columns)."""
+    def out_arcs(self) -> list[list[tuple[int, int, Cost]]]:
+        """out_arcs[v]: the edge tuples leaving v, in edge-tuple order."""
         return self._csr(forward=True)
 
     @cached_property
-    def in_csr(self) -> tuple[list[int], list[int], list[list[int]]]:
-        """Reverse adjacency in the same layout as out_csr."""
+    def in_arcs(self) -> list[list[tuple[int, int, Cost]]]:
+        """in_arcs[v]: the edge tuples entering v, in edge-tuple order."""
         return self._csr(forward=False)
 
-    def _csr(self, forward: bool) -> tuple[list[int], list[int], list[list[int]]]:
-        row, col = map(itemgetter, (0, 1) if forward else (1, 0))
-        # A stable sort keeps edge-tuple order within each row; the searches'
-        # tie order and witness paths depend on it.
-        arcs = sorted(self.edges, key=row)
-        counts = [0] * (self.num_vertices + 1)
-        for v in map(row, arcs):
-            counts[v] += 1
-        costs = list(map(itemgetter(2), arcs))
-        cols = [list(map(itemgetter(k), costs)) for k in range(self.d)]
-        return list(accumulate(counts, initial=0)), list(map(col, arcs)), cols
+    def _csr(self, forward: bool) -> list[list[tuple[int, int, Cost]]]:
+        # Rows hold the graph's own edge tuples, so nothing is copied.  Edge
+        # order within a row is the searches' tie order and fixes their
+        # witness paths.  Index 0 is an empty row.  The name is the one
+        # perfbench/pipeline.py traces as the core.csr span.
+        rows: list[list[tuple[int, int, Cost]]] = [[] for _ in range(self.num_vertices + 1)]
+        for v, e in zip(map(itemgetter(0 if forward else 1), self.edges), self.edges):
+            rows[v].append(e)
+        return rows
 
     def out_degree(self, v: int) -> int:
-        off = self.out_csr[0]
-        return off[v + 1] - off[v]
+        return len(self.out_arcs[v])
 
     def in_degree(self, v: int) -> int:
-        off = self.in_csr[0]
-        return off[v + 1] - off[v]
+        return len(self.in_arcs[v])
 
 
 @dataclass(frozen=True, order=True)

@@ -141,6 +141,10 @@ def read_graph(path: str | Path) -> MosGraph:
             num_vertices = _int(tokens[1], lineno, "vertex count")
             num_edges = _int(tokens[2], lineno, "edge count")
             d = _int(tokens[3], lineno, "objective count")
+            if num_vertices < 1:
+                raise Malformed(lineno, "vertex count must be >= 1")
+            if num_edges < 0:
+                raise Malformed(lineno, "edge count must be >= 0")
             if d < 1:
                 raise Malformed(lineno, "objective count must be >= 1")
             continue

@@ -118,8 +118,8 @@ def run_benchmark(
         grid = EpsilonGrid()
     eps_list = grid.epsilons(graph.d) if isinstance(grid, EpsilonGrid) else list(grid)
     name = benchmark_name or graph.metadata.get("family", "graph")
-    graph.out_csr
-    graph.in_csr
+    graph.out_arcs
+    graph.in_arcs
     heuristics: dict[int, HeuristicTable] = {}
     for q in queries:
         if q.target not in heuristics:
@@ -165,25 +165,44 @@ class VerificationReport:
         return not self.violations
 
 
-def _path_can_cost(graph: MosGraph, path: Sequence[int], cost: Cost) -> bool:
+def _path_can_cost(graph: MosGraph, path: Sequence[int], cost: Cost, base: Cost) -> bool:
     """Whether some choice among parallel edges gives the path this exact cost.
 
-    path_cost takes the lexicographically smallest arc of every hop, so what
-    is left to cover is cost - path_cost(path).  Only the hops with more than
-    one distinct arc cost can change that; their alternatives come from the
-    graph's cached table of deltas over the smallest arc.  Those hops are
-    walked level by level over the set of remainders still to be covered,
-    each kept only while it lies within the componentwise [min, max] delta
-    sums of the hops after it.  The cost is reachable when the zero vector is
-    left after the last such hop.  Equal remainders merge, so the work grows
-    with the number of distinct partial sums, not of arc choices.
+    base is path_cost(graph, path), which takes the lexicographically
+    smallest arc of every hop, so what is left to cover is cost - base.
+    Only the hops with more than one distinct arc cost can change that;
+    their alternatives come from the graph's cached table of deltas over the
+    smallest arc.  Those hops are walked level by level over the set of
+    remainders still to be covered, each kept only while it lies within the
+    componentwise [min, max] delta sums of the hops after it.  The cost is
+    reachable when the zero vector is left after the last such hop.  Equal
+    remainders merge, so the work grows with the number of distinct partial
+    sums, not of arc choices.  For d=2 the walk runs on (r1, r2) pairs
+    against scalar suffix bounds.
     """
-    try:
-        base = path_cost(graph, path)
-    except NonEdge:
-        return False
-    table = graph._parallel_arcs
-    hops = [table[hop] for hop in zip(path, path[1:]) if hop in table]
+    hops = [h for h in map(graph._parallel_arcs.get, zip(path, path[1:])) if h]
+    if graph.d == 2:
+        # bounds[i]: min and max delta sums (lo1, lo2, hi1, hi2) of hops[i + 1:].
+        lo1 = lo2 = hi1 = hi2 = 0
+        bounds = []
+        for _, (l1, l2), (u1, u2) in reversed(hops):
+            bounds.append((lo1, lo2, hi1, hi2))
+            lo1 += l1
+            lo2 += l2
+            hi1 += u1
+            hi2 += u2
+        bounds.reverse()
+        pairs = {(cost[0] - base[0], cost[1] - base[1])}
+        for (deltas, _, _), (a1, a2, b1, b2) in zip(hops, bounds):
+            pairs = {
+                (r1, r2)
+                for x1, x2 in pairs
+                for o1, o2 in deltas
+                if a1 <= (r1 := x1 - o1) <= b1 and a2 <= (r2 := x2 - o2) <= b2
+            }
+            if not pairs:
+                return False
+        return (0, 0) in pairs
     zero = (0,) * graph.d
     # lo[i], hi[i]: componentwise min and max delta sums of the hops hops[i:].
     lo = [zero]
@@ -253,7 +272,7 @@ def verify_solutions(
         except NonEdge as exc:
             v.append(f"PathBroken: entry {i}: {exc}")
             continue
-        if rc != entry.cost and not _path_can_cost(graph, p, entry.cost):
+        if rc != entry.cost and not _path_can_cost(graph, p, entry.cost, rc):
             v.append(
                 f"CostMismatch: entry {i} stores {entry.cost}, path recomputes to {rc}"
             )

@@ -5,8 +5,14 @@ ordering of f = g + h, with the dimensionality-reduction dominance device:
 because labels of one vertex leave the open list in lexicographic order,
 their first f component is non-decreasing, so dominance among them only
 needs the (d-1)-suffix of g.  For d = 2 that suffix is a single scalar per
-vertex.  Heap keys are single big integers packing (f, vertex, insertion
-sequence), which keeps comparisons cheap and memory flat.
+vertex.  Heap keys are single big integers packing (f, vertex, parent's
+closed id), which keeps comparisons cheap and memory flat.  Labels that tie
+on (f, vertex) have equal g, and closed ids grow in expansion order, so the
+pop order is the order of their parents' expansions.  Each expansion holds
+back its smallest child and the next pop is a heappushpop of it, which
+returns the same label a push and a pop would, often without moving
+anything in the heap.  Arcs are read from the graph's per-vertex rows of
+its own edge tuples (MosGraph.out_arcs).
 
 The search only ever computes the exact Pareto front, in lexicographic
 order.  An epsilon-approximate front is derived from it by greedy
@@ -36,8 +42,8 @@ INF = float("inf")
 # that are already pruned get dropped and the heap is rebuilt.
 _COMPACT_START = 8_000_000
 
-# Insertion-sequence field width; 2^44 pushes is out of reach in practice.
-_SEQ_BITS = 44
+# Parent-id field width; 2^44 expansions is out of reach in practice.
+_ID_BITS = 44
 
 
 def _check_vertex(graph: MosGraph, v: int, what: str) -> None:
@@ -55,23 +61,26 @@ def dijkstra_bound(graph: MosGraph, target: int, objective: int) -> list[float]:
         raise DimensionMismatch(
             f"objective index {objective} outside 0..{graph.d - 1}"
         )
-    off, nbr, cols = graph.in_csr
-    weight = cols[objective]
+    rows = graph.in_arcs
+    # Heap keys pack (distance, vertex) into one int: nd << v_bits | w.
+    v_bits = graph.num_vertices.bit_length()
+    v_mask = (1 << v_bits) - 1
     dist: list[float] = [INF] * (graph.num_vertices + 1)
     dist[target] = 0
-    heap: list[tuple[int, int]] = [(0, target)]
+    heap = [target]
     pop = heapq.heappop
     push = heapq.heappush
     while heap:
-        d_u, u = pop(heap)
+        key = pop(heap)
+        u = key & v_mask
+        d_u = key >> v_bits
         if d_u > dist[u]:
             continue
-        for i in range(off[u], off[u + 1]):
-            w = nbr[i]
-            nd = d_u + weight[i]
+        for w, _, cost in rows[u]:
+            nd = d_u + cost[objective]
             if nd < dist[w]:
                 dist[w] = nd
-                push(heap, (nd, w))
+                push(heap, nd << v_bits | w)
     return dist
 
 
@@ -136,7 +145,7 @@ def reference_label_search(graph: MosGraph, query: Query) -> list[tuple[Cost, tu
     zero = (0,) * d
     if query.source == query.target:
         return [(zero, (query.source,))]
-    off, nbr, cols = graph.out_csr
+    arcs = graph.out_arcs
     tgt = query.target
     counter = 0
     root = SearchLabel(query.source, zero, zero)
@@ -156,9 +165,8 @@ def reference_label_search(graph: MosGraph, query: Query) -> list[tuple[Cost, tu
             sols.append((g, lab.path()))
             continue
         closed[v].append(g)
-        for i in range(off[v], off[v + 1]):
-            w = nbr[i]
-            ng = tuple(g[k] + cols[k][i] for k in range(d))
+        for _, w, cost in arcs[v]:
+            ng = tuple(g[k] + cost[k] for k in range(d))
             if blocked(ng, closed[w]) or blocked(ng, [c for c, _ in sols]):
                 continue
             counter += 1
@@ -175,42 +183,46 @@ def _search_bi(
     """Specialized d=2 search; the per-vertex closed set is one scalar."""
     n = graph.num_vertices
     src, tgt = query.source, query.target
-    off, nbr, cols = graph.out_csr
-    ec1, ec2 = cols
+    arcs = graph.out_arcs
     h1, h2 = heur.columns
     if h1[src] < 0:
         return []
 
-    f2_bits = (sum(ec2) + max(h2) + 1).bit_length() + 1
-    v_bits = n.bit_length() + 1
-    s_bits = _SEQ_BITS
-    f2_mask = (1 << f2_bits) - 1
-    v_mask = (1 << v_bits) - 1
-    s_mask = (1 << s_bits) - 1
     # Above the second cost of every simple path, which includes every
     # Pareto-optimal one.
-    big = sum(ec2) + 1
+    big = sum([c2 for _, _, (_, c2) in graph.edges]) + 1
+    f2_bits = (big + max(h2)).bit_length() + 1
+    v_bits = n.bit_length() + 1
+    p_bits = _ID_BITS
+    f2_mask = (1 << f2_bits) - 1
+    v_mask = (1 << v_bits) - 1
+    p_mask = (1 << p_bits) - 1
 
     g2min = [big] * (n + 1)
     tbound = big
-    pparent = array("q", [-1])
-    closed_v = array("q")
-    closed_p = array("q")
+    # Closed labels by id, from 1: their vertex and their parent's id.
+    closed_v = array("q", [0])
+    closed_p = array("q", [0])
     sols: list[tuple[Cost, int]] = []
 
-    heap = [((((h1[src] << f2_bits) | h2[src]) << v_bits | src) << s_bits)]
+    # held: the smallest child of the last expansion, kept out of the heap
+    # (0 when there is none); the root's parent id is 0.
+    held = (((h1[src] << f2_bits) | h2[src]) << v_bits | src) << p_bits
+    heap: list[int] = []
     push = heapq.heappush
     pop = heapq.heappop
+    pushpop = heapq.heappushpop
     pops = 0
     next_compact = _COMPACT_START
 
-    while heap:
-        key = pop(heap)
+    while held or heap:
+        key = pushpop(heap, held) if held else pop(heap)
+        held = 0
         pops += 1
         if deadline is not None and not (pops & 2047) and monotonic() > deadline:
             raise SearchTimeout(f"d=2 search past its deadline after {pops} pops")
-        seq = key & s_mask
-        rest = key >> s_bits
+        pid = key & p_mask
+        rest = key >> p_bits
         v = rest & v_mask
         rest >>= v_bits
         f2 = rest & f2_mask
@@ -219,36 +231,37 @@ def _search_bi(
             if g2 >= tbound:
                 continue
             tbound = g2
-            sols.append((((rest >> f2_bits) - h1[tgt], g2), pparent[seq]))
+            sols.append((((rest >> f2_bits) - h1[tgt], g2), pid))
             continue
         if g2 >= g2min[v] or f2 >= tbound:
             continue
         g2min[v] = g2
         cid = len(closed_v)
         closed_v.append(v)
-        closed_p.append(pparent[seq])
+        closed_p.append(pid)
         g1 = (rest >> f2_bits) - h1[v]
-        for i in range(off[v], off[v + 1]):
-            w = nbr[i]
+        for _, w, (c1, c2) in arcs[v]:
             hw2 = h2[w]
             if hw2 < 0:
                 continue
-            ng2 = g2 + ec2[i]
+            ng2 = g2 + c2
             if ng2 >= g2min[w]:
                 continue
             nf2 = ng2 + hw2
             if nf2 >= tbound:
                 continue
-            s = len(pparent)
-            pparent.append(cid)
-            push(
-                heap,
-                ((((g1 + ec1[i] + h1[w]) << f2_bits | nf2) << v_bits | w) << s_bits) | s,
-            )
+            k = ((((g1 + c1 + h1[w]) << f2_bits | nf2) << v_bits | w) << p_bits) | cid
+            if not held:
+                held = k
+            elif k < held:
+                push(heap, held)
+                held = k
+            else:
+                push(heap, k)
         if len(heap) >= next_compact:
             kept = []
             for k in heap:
-                r = k >> s_bits
+                r = k >> p_bits
                 kv = r & v_mask
                 kf2 = (r >> v_bits) & f2_mask
                 if kf2 >= tbound:
@@ -330,25 +343,24 @@ def _search_multi(
     n = graph.num_vertices
     d = graph.d
     src, tgt = query.source, query.target
-    off, nbr, cols = graph.out_csr
+    arcs = graph.out_arcs
     hcols = heur.columns
     if hcols[0][src] < 0:
         return []
 
-    f_bits = [
-        (sum(cols[k]) + max(hcols[k]) + 1).bit_length() + 1 for k in range(d)
-    ]
+    sums = list(map(sum, zip(*[c for _, _, c in graph.edges]))) or [0] * d
+    f_bits = [(sums[k] + max(hcols[k]) + 1).bit_length() + 1 for k in range(d)]
     v_bits = n.bit_length() + 1
-    s_bits = _SEQ_BITS
+    p_bits = _ID_BITS
     f_masks = [(1 << b) - 1 for b in f_bits]
     v_mask = (1 << v_bits) - 1
-    s_mask = (1 << s_bits) - 1
+    p_mask = (1 << p_bits) - 1
 
-    def pack(f: list[int], v: int, seq: int) -> int:
+    def pack(f: list[int], v: int, pid: int) -> int:
         key = f[0]
         for k in range(1, d):
             key = (key << f_bits[k]) | f[k]
-        return ((key << v_bits | v) << s_bits) | seq
+        return ((key << v_bits | v) << p_bits) | pid
 
     def unpack_f(rest: int) -> list[int]:
         f = [0] * d
@@ -359,22 +371,23 @@ def _search_multi(
         return f
 
     store = _SuffixStore(n, d - 1)
-    pparent = array("q", [-1])
-    closed_v = array("q")
-    closed_p = array("q")
+    closed_v = array("q", [0])
+    closed_p = array("q", [0])
     sols: list[tuple[Cost, int]] = []
 
-    heap = [pack([hcols[k][src] for k in range(d)], src, 0)]
+    held = pack([hcols[k][src] for k in range(d)], src, 0)
+    heap: list[int] = []
     pops = 0
     next_compact = _COMPACT_START
 
-    while heap:
-        key = heapq.heappop(heap)
+    while held or heap:
+        key = heapq.heappushpop(heap, held) if held else heapq.heappop(heap)
+        held = 0
         pops += 1
         if deadline is not None and not (pops & 1023) and monotonic() > deadline:
             raise SearchTimeout(f"search past its deadline after {pops} pops")
-        seq = key & s_mask
-        rest = key >> s_bits
+        pid = key & p_mask
+        rest = key >> p_bits
         v = rest & v_mask
         f = unpack_f(rest >> v_bits)
         g = [f[k] - hcols[k][v] for k in range(d)]
@@ -383,31 +396,35 @@ def _search_multi(
             if store.dominated(tgt, gsuf):
                 continue
             store.insert(tgt, gsuf)
-            sols.append((tuple(g), pparent[seq]))
+            sols.append((tuple(g), pid))
             continue
         if store.dominated(v, gsuf) or store.dominated(tgt, tuple(f[1:])):
             continue
         store.insert(v, gsuf)
         cid = len(closed_v)
         closed_v.append(v)
-        closed_p.append(pparent[seq])
-        for i in range(off[v], off[v + 1]):
-            w = nbr[i]
+        closed_p.append(pid)
+        for _, w, cost in arcs[v]:
             if hcols[0][w] < 0:
                 continue
-            ng = [g[k] + cols[k][i] for k in range(d)]
+            ng = [g[k] + cost[k] for k in range(d)]
             if store.dominated(w, tuple(ng[1:])):
                 continue
             nf = [ng[k] + hcols[k][w] for k in range(d)]
             if store.dominated(tgt, tuple(nf[1:])):
                 continue
-            s = len(pparent)
-            pparent.append(cid)
-            heapq.heappush(heap, pack(nf, w, s))
+            k = pack(nf, w, cid)
+            if not held:
+                held = k
+            elif k < held:
+                heapq.heappush(heap, held)
+                held = k
+            else:
+                heapq.heappush(heap, k)
         if len(heap) >= next_compact:
             kept = []
             for k in heap:
-                r = k >> s_bits
+                r = k >> p_bits
                 kv = r & v_mask
                 kf = unpack_f(r >> v_bits)
                 if store.dominated(tgt, tuple(kf[1:])):
@@ -434,7 +451,7 @@ def _materialize(
     for cost, cid in sols:
         path = [tgt]
         cur = cid
-        while cur >= 0:
+        while cur:
             path.append(closed_v[cur])
             cur = closed_p[cur]
         path.reverse()
@@ -537,20 +554,19 @@ def brute_force_pareto(
         return SolutionSet(
             query, Epsilon.zero(d), (SolutionEntry((0,) * d, (src,)),)
         )
-    off, nbr, cols = graph.out_csr
+    arcs = graph.out_arcs
     found: dict[Cost, tuple[int, ...]] = {}
     count = 0
     path = [src]
     onpath = {src}
     acc: list[Cost] = [(0,) * d]
-    stack: list = [iter(range(off[src], off[src + 1]))]
+    stack: list = [iter(arcs[src])]
     while stack:
         advanced = False
-        for i in stack[-1]:
-            w = nbr[i]
+        for _, w, c in stack[-1]:
             if w in onpath:
                 continue
-            cost = tuple(acc[-1][k] + cols[k][i] for k in range(d))
+            cost = tuple(acc[-1][k] + c[k] for k in range(d))
             if w == tgt:
                 count += 1
                 if count > max_paths:
@@ -563,7 +579,7 @@ def brute_force_pareto(
             path.append(w)
             onpath.add(w)
             acc.append(cost)
-            stack.append(iter(range(off[w], off[w + 1])))
+            stack.append(iter(arcs[w]))
             advanced = True
             break
         if not advanced:

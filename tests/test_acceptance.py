@@ -163,15 +163,15 @@ def test_03_large_grid_shape_correlation_and_solve_time():
 
 
 def _reachable_all(graph, start, forward):
-    off, nbr, _ = graph.out_csr if forward else graph.in_csr
+    rows, end = (graph.out_arcs, 1) if forward else (graph.in_arcs, 0)
     seen = bytearray(graph.num_vertices + 1)
     seen[start] = 1
     queue = deque([start])
     count = 1
     while queue:
         u = queue.popleft()
-        for i in range(off[u], off[u + 1]):
-            w = nbr[i]
+        for arc in rows[u]:
+            w = arc[end]
             if not seen[w]:
                 seen[w] = 1
                 count += 1

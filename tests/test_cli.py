@@ -111,6 +111,18 @@ class TestConvert:
             (3, 1, (12, 2)),
         ]
 
+    def test_dimacs_empty_problem_line_is_a_usage_error(self, tmp_path, capsys):
+        (tmp_path / "d.gr").write_text("p sp 0 0\n")
+        (tmp_path / "t.gr").write_text(TIME)
+        code = run_main(
+            [
+                "convert", "dimacs", "--distance", tmp_path / "d.gr",
+                "--time", tmp_path / "t.gr", "--out", tmp_path / "out.gr",
+            ]
+        )
+        assert code == EXIT_USAGE
+        assert "line 1: d.gr: vertex count must be >= 1" in capsys.readouterr().err
+
     def test_dimacs_extend(self, tmp_path):
         (tmp_path / "d.gr").write_text(DIST)
         (tmp_path / "t.gr").write_text(TIME)
@@ -249,6 +261,27 @@ class TestSolve:
         code = solve_small(tmp_path, eps="0.1,0.01")
         assert code == EXIT_USAGE
         assert "increasing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "problem,message",
+        [
+            ("p mosp 0 0 2", "line 1: vertex count must be >= 1"),
+            ("p mosp 2 -1 2", "line 1: edge count must be >= 0"),
+        ],
+    )
+    def test_bad_problem_line_counts(self, tmp_path, capsys, problem, message):
+        (tmp_path / "g.gr").write_text(problem + "\n")
+        (tmp_path / "q.txt").write_text("q 1 1\n")
+        code = run_main(
+            [
+                "solve", "--graph", tmp_path / "g.gr",
+                "--queries", tmp_path / "q.txt",
+                "--out-solutions", tmp_path / "s.sol",
+                "--out-records", tmp_path / "r.csv",
+            ]
+        )
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
 
     def test_missing_graph_file(self, tmp_path, capsys):
         code = run_main(

@@ -94,6 +94,22 @@ class TestDimacsPair:
         with pytest.raises(Malformed):
             parse_dimacs(p, p)
 
+    @pytest.mark.parametrize(
+        "text,line,message",
+        [
+            ("p sp 2 -1\n", 1, "bad.gr: arc count must be >= 0"),
+            ("p sp 2 -5\na 1 2 3\n", 1, "bad.gr: arc count must be >= 0"),
+            ("p sp 0 0\n", 1, "bad.gr: vertex count must be >= 1"),
+            ("c x\np sp -3 1\na 1 2 3\n", 2, "bad.gr: vertex count must be >= 1"),
+        ],
+    )
+    def test_problem_line_counts_are_checked(self, tmp_path, text, line, message):
+        p = write(tmp_path, "bad.gr", text)
+        with pytest.raises(Malformed) as err:
+            parse_dimacs(p, p)
+        assert err.value.reason == message
+        assert err.value.line_number == line
+
 
 class TestElevation:
     def test_scale_from_max_decimals(self, tmp_path):
@@ -444,6 +460,18 @@ class TestRoadmap:
             read_roadmap(write(tmp_path, "r.pan", text))
         # each case breaks on its last line (line 0 for the empty file)
         assert err.value.line_number == text.count("\n")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("p panda -1 0\nv 0 0 0 0 0 0 0\n", "configuration count must be >= 0"),
+            ("p panda 1 -1\nv 0 0 0 0 0 0 0\n", "edge count must be >= 0"),
+        ],
+    )
+    def test_problem_line_counts_are_checked(self, tmp_path, text, message):
+        with pytest.raises(Malformed) as err:
+            read_roadmap(write(tmp_path, "r.pan", text))
+        assert (err.value.line_number, err.value.reason) == (1, message)
 
     def test_nonpositive_clearance_rejected(self, tmp_path):
         bad = (

@@ -260,11 +260,11 @@ class TestGraphAndPathCost:
 
     def test_csr_round_trip(self):
         g = random_graph(random.Random(33), 8, 0.4, 2)
-        off, nbr, cols = g.out_csr
         rebuilt = []
         for u in range(1, 9):
-            for i in range(off[u], off[u + 1]):
-                rebuilt.append((u, nbr[i], (cols[0][i], cols[1][i])))
+            for t, w, cost in g.out_arcs[u]:
+                assert t == u
+                rebuilt.append((u, w, cost))
         assert sorted(rebuilt) == sorted(g.edges)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -281,16 +281,15 @@ class TestGraphAndPathCost:
                 if rng.random() < 0.3:
                     edges.append(edges[-1])
             g = MosGraph(n, tuple(edges), tuple(Objective(f"c{i}") for i in range(d)))
-            for csr, row, col in ((g.out_csr, 0, 1), (g.in_csr, 1, 0)):
-                off, nbr, cols = csr
-                assert len(off) == n + 2 and off[0] == off[1] == 0
-                assert len(cols) == d
-                assert off[n + 1] == len(nbr) == len(edges)
+            for rows, row in ((g.out_arcs, 0), (g.in_arcs, 1)):
+                assert len(rows) == n + 1 and rows[0] == []
+                assert sum(map(len, rows)) == len(edges)
                 for v in range(1, n + 1):
                     # naive reference: the arcs of row v, in edge-tuple order
-                    want = [(e[col], e[2]) for e in edges if e[row] == v]
-                    got = [(nbr[i], tuple(c[i] for c in cols)) for i in range(off[v], off[v + 1])]
-                    assert got == want
+                    want = [e for e in edges if e[row] == v]
+                    assert rows[v] == want
+                    # the rows hold the graph's own edge tuples, not copies
+                    assert all(a is b for a, b in zip(rows[v], [e for e in g.edges if e[row] == v]))
 
 
 class TestPearson:

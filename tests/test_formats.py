@@ -103,6 +103,23 @@ class TestGraphFormat:
             read_graph(p)
         assert frag in str(err.value)
 
+    @pytest.mark.parametrize(
+        "text,line,message",
+        [
+            ("p mosp 2 -1 2\n", 1, "edge count must be >= 0"),
+            ("p mosp 2 -5 2\na 1 2 3 4\n", 1, "edge count must be >= 0"),
+            ("p mosp 0 0 2\n", 1, "vertex count must be >= 1"),
+            ("c x\np mosp -3 1 2\na 1 2 3 4\n", 2, "vertex count must be >= 1"),
+        ],
+    )
+    def test_problem_line_counts_are_checked(self, tmp_path, text, line, message):
+        p = tmp_path / "bad.gr"
+        p.write_text(text)
+        with pytest.raises(Malformed) as err:
+            read_graph(p)
+        assert err.value.reason == message
+        assert err.value.line_number == line
+
     def test_malformed_reports_line_number(self, tmp_path):
         p = tmp_path / "bad.gr"
         p.write_text("p mosp 2 1 1\n\na 1 2 oops\n")

@@ -22,15 +22,15 @@ CHI2_CRIT_DF9 = 27.878
 
 
 def reachable_count(graph: MosGraph, start: int, forward: bool) -> int:
-    off, nbr, _ = graph.out_csr if forward else graph.in_csr
+    rows, end = (graph.out_arcs, 1) if forward else (graph.in_arcs, 0)
     seen = bytearray(graph.num_vertices + 1)
     seen[start] = 1
     queue = deque([start])
     count = 1
     while queue:
         u = queue.popleft()
-        for i in range(off[u], off[u + 1]):
-            w = nbr[i]
+        for arc in rows[u]:
+            w = arc[end]
             if not seen[w]:
                 seen[w] = 1
                 count += 1

@@ -19,6 +19,7 @@ from mosbench.core import (
     SolutionEntry,
     SolutionSet,
     dominates,
+    path_cost,
 )
 from mosbench.errors import (
     AllExcluded,
@@ -71,13 +72,14 @@ def deadline(seconds):
 
 
 @st.composite
-def multigraph_paths(draw):
+def multigraph_paths(draw, dims=(2, 3)):
     """A small multigraph, a walk in it, and the arcs of each of the walk's hops.
 
-    Every hop has 1-3 parallel arcs; other arcs leave the same tails toward
-    other heads.  Costs may be zero, and hops and vertices may repeat.
+    d is drawn from dims.  Every hop has 1-3 parallel arcs; other arcs leave
+    the same tails toward other heads.  Costs may be zero, and hops and
+    vertices may repeat.
     """
-    d = draw(st.sampled_from((2, 3)))
+    d = draw(st.sampled_from(dims))
     n = draw(st.integers(1, 4))
     vertex = st.integers(1, n)
     cost = st.tuples(*[st.integers(0, 3)] * d)
@@ -325,19 +327,30 @@ class TestVerifySolutions:
         with pytest.raises(DimensionMismatch):
             verify_solutions(g, q, ss)
 
-    @settings(max_examples=300, deadline=None)
-    @given(multigraph_paths(), st.data())
-    def test_path_can_cost_matches_brute_force(self, case, data):
+    @staticmethod
+    def check_path_can_cost(case, data):
         g, path, arcs = case
         sums = {
             tuple(sum(c[k] for c in pick) for k in range(g.d))
             for pick in itertools.product(*arcs)
         }
+        base = path_cost(g, path)
         reachable = data.draw(st.sampled_from(sorted(sums)))
-        assert _path_can_cost(g, path, reachable)
+        assert _path_can_cost(g, path, reachable, base)
         top = 3 * (len(path) - 1) + 1
         other = data.draw(st.tuples(*[st.integers(0, top)] * g.d))
-        assert _path_can_cost(g, path, other) == (other in sums)
+        assert _path_can_cost(g, path, other, base) == (other in sums)
+
+    @settings(max_examples=300, deadline=None)
+    @given(multigraph_paths(), st.data())
+    def test_path_can_cost_matches_brute_force(self, case, data):
+        self.check_path_can_cost(case, data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(multigraph_paths(dims=(1, 4)), st.data())
+    def test_path_can_cost_generic_walk_matches_brute_force(self, case, data):
+        # d=2 has its own pair walk; d=1 and d=4 take the tuple walk.
+        self.check_path_can_cost(case, data)
 
     def test_pathless_entries_get_set_level_checks_only(self):
         g, q, ss = self.graph_and_set()

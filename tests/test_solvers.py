@@ -1,10 +1,13 @@
 """Search correctness: bounds, exact fronts, approximation, oracles."""
 from __future__ import annotations
 
+import heapq
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mosbench.core import (
     Epsilon,
@@ -48,6 +51,78 @@ def bellman_ford_to_target(graph: MosGraph, target: int, objective: int):
         if not changed:
             break
     return dist
+
+
+def push_order_search(graph: MosGraph, query: Query):
+    """The exact search with the pop order of plain push-then-pop heaps.
+
+    Keys are (f..., vertex, push sequence) tuples, and each label keeps its
+    parent's sequence number.  Pruning is the production searches': a
+    label dies when a closed label of its vertex, or a found target cost,
+    weakly dominates its cost suffix g[1:] (f[1:] against the target).  For
+    d=2 those suffix lists are the scalars g2min[v] and tbound.  Arcs are
+    read from graph.edges in edge-tuple order.
+    """
+    h = ideal_point_heuristic(graph, query.target).columns
+    d, src, tgt = graph.d, query.source, query.target
+    if h[0][src] < 0:
+        return []
+    closed = {v: [] for v in range(1, graph.num_vertices + 1)}
+
+    def blocked(v, suffix):
+        return any(all(a <= b for a, b in zip(p, suffix)) for p in closed[v])
+
+    def close(v, suffix):
+        closed[v] = [p for p in closed[v] if not all(a >= b for a, b in zip(p, suffix))]
+        closed[v].append(suffix)
+
+    labels = [(src, -1)]  # per push sequence: vertex, parent's sequence
+    heap = [tuple(col[src] for col in h) + (src, 0)]
+    found = []
+    while heap:
+        *f, v, seq = heapq.heappop(heap)
+        g = [f[k] - h[k][v] for k in range(d)]
+        if v == tgt:
+            if not blocked(tgt, g[1:]):
+                close(tgt, g[1:])
+                path, cur = [], seq
+                while cur >= 0:
+                    path.append(labels[cur][0])
+                    cur = labels[cur][1]
+                found.append((tuple(g), tuple(reversed(path))))
+            continue
+        if blocked(v, g[1:]) or blocked(tgt, f[1:]):
+            continue
+        close(v, g[1:])
+        for u, w, cost in graph.edges:
+            if u != v or h[0][w] < 0:
+                continue
+            ng = [g[k] + cost[k] for k in range(d)]
+            nf = [ng[k] + h[k][w] for k in range(d)]
+            if blocked(w, ng[1:]) or blocked(tgt, nf[1:]):
+                continue
+            labels.append((w, seq))
+            heapq.heappush(heap, tuple(nf) + (w, len(labels) - 1))
+    return found
+
+
+@st.composite
+def tie_heavy_multigraphs(draw):
+    """Small d=2 or d=3 multigraphs with zero costs, parallel arcs and ties."""
+    d = draw(st.sampled_from((2, 3)))
+    n = draw(st.integers(2, 8))
+    vertex = st.integers(1, n)
+    cost = st.tuples(*[st.integers(0, 3)] * d)
+    edges = []
+    for u, v, c, copies in draw(
+        st.lists(st.tuples(vertex, vertex, cost, st.integers(1, 3)), max_size=32)
+    ):
+        edges += [(u, v, c)] * copies
+        if copies > 1 and draw(st.booleans()):
+            edges.append((u, v, draw(cost)))
+    g = MosGraph(n, tuple(draw(st.permutations(edges))), tuple(Objective(f"c{k}") for k in range(d)))
+    s, t = draw(st.lists(vertex, min_size=2, max_size=2, unique=True))
+    return g, Query(s, t, 0)
 
 
 class TestDijkstraBound:
@@ -217,6 +292,15 @@ class TestExactSearch:
         h = ideal_point_heuristic(g, 2)
         with pytest.raises(TargetOutOfRange):
             solve_exact(g, q, h)
+
+
+    @settings(max_examples=400, deadline=None)
+    @given(tie_heavy_multigraphs())
+    def test_pop_order_matches_push_then_pop_reference(self, case):
+        # Same costs and the same witness paths, tie for tie.
+        g, q = case
+        got = [(e.cost, e.path) for e in solve_exact(g, q).entries]
+        assert got == push_order_search(g, q)
 
 
 class TestApproxSearch:
