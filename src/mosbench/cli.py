@@ -85,7 +85,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     graph = formats.read_graph(args.graph)
-    queries = formats.read_queries(args.queries)
+    queries = formats.read_queries(args.queries, num_vertices=graph.num_vertices)
     scalars = tuple(Fraction(p) for p in args.eps.split(","))
     eps_list = protocol.EpsilonGrid(scalars).epsilons(graph.d)
     for text in args.eps_vec or []:
@@ -120,7 +120,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             return EXIT_USAGE
         ran = True
         graph = formats.read_graph(args.graph)
-        queries = formats.read_queries(args.queries)
+        queries = formats.read_queries(args.queries, num_vertices=graph.num_vertices)
         sets = formats.read_solutions(args.solutions, queries)
         for ss in sets:
             report = protocol.verify_solutions(graph, ss.query, ss)

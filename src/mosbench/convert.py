@@ -27,7 +27,7 @@ from .errors import (
     NonPositiveClearance,
     RootOutOfRange,
 )
-from .formats import _int
+from .formats import _arc_fields, _int
 
 # Fixed-point scale for real-valued roadmap objectives.
 FIXED_SCALE = 10**6
@@ -48,51 +48,70 @@ def _decimal(token: str, lineno: int, what: str) -> Fraction:
     return Fraction(token)
 
 
-def _parse_gr(path: str | Path) -> tuple[int, int, list[tuple[int, int, int]]]:
-    """One 9th-DIMACS-Challenge arc file: header `p sp n m`, arcs `a u v w`."""
+def _parse_gr(path: str | Path) -> tuple[int, int, list[int]]:
+    """One 9th-DIMACS-Challenge arc file: header `p sp n m`, arcs `a u v w`.
+
+    Returns n, m and the arcs' fields flat: u_1, v_1, w_1, u_2, ...
+    """
     n = m = -1
-    arcs: list[tuple[int, int, int]] = []
+    arcs: list[int] = []
     name = Path(path).name
     lineno = 0
-    for lineno, raw in enumerate(Path(path).read_text(encoding="ascii").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        tokens = line.split()
-        if tokens[0] == "p":
-            if n >= 0:
-                raise Malformed(lineno, f"{name}: duplicate problem line")
-            if len(tokens) != 4 or tokens[1] != "sp":
-                raise Malformed(lineno, f"{name}: expected 'p sp n m', got {raw!r}")
-            try:
-                n, m = int(tokens[2]), int(tokens[3])
-            except ValueError:
-                raise Malformed(lineno, f"{name}: non-integer problem sizes") from None
-            if n < 1:
-                raise Malformed(lineno, f"{name}: vertex count must be >= 1")
-            if m < 0:
-                raise Malformed(lineno, f"{name}: arc count must be >= 0")
-            continue
-        if tokens[0] == "a":
-            if n < 0:
-                raise Malformed(lineno, f"{name}: arc before problem line")
-            if len(tokens) != 4:
-                raise Malformed(lineno, f"{name}: expected 'a u v w', got {raw!r}")
-            try:
-                u, v, w = int(tokens[1]), int(tokens[2]), int(tokens[3])
-            except ValueError:
-                raise Malformed(lineno, f"{name}: non-integer arc field") from None
-            if w < 0:
-                raise NegativeCost(f"{name} line {lineno}: arc weight {w} < 0")
-            if not (1 <= u <= n) or not (1 <= v <= n):
-                raise Malformed(lineno, f"{name}: arc endpoint outside 1..{n}")
-            arcs.append((u, v, w))
-            continue
-        raise Malformed(lineno, f"{name}: unknown line keyword {tokens[0]!r}")
+
+    def scan(lines: list[str]) -> None:
+        nonlocal n, m, lineno
+        for lineno, raw in enumerate(lines, start=lineno + 1):
+            line = raw.strip()
+            if not line or line.startswith("c"):
+                continue
+            tokens = line.split()
+            if tokens[0] == "p":
+                if n >= 0:
+                    raise Malformed(lineno, f"{name}: duplicate problem line")
+                if len(tokens) != 4 or tokens[1] != "sp":
+                    raise Malformed(lineno, f"{name}: expected 'p sp n m', got {raw!r}")
+                try:
+                    n, m = int(tokens[2]), int(tokens[3])
+                except ValueError:
+                    raise Malformed(lineno, f"{name}: non-integer problem sizes") from None
+                if n < 1:
+                    raise Malformed(lineno, f"{name}: vertex count must be >= 1")
+                if m < 0:
+                    raise Malformed(lineno, f"{name}: arc count must be >= 0")
+                continue
+            if tokens[0] == "a":
+                if n < 0:
+                    raise Malformed(lineno, f"{name}: arc before problem line")
+                if len(tokens) != 4:
+                    raise Malformed(lineno, f"{name}: expected 'a u v w', got {raw!r}")
+                try:
+                    u, v, w = int(tokens[1]), int(tokens[2]), int(tokens[3])
+                except ValueError:
+                    raise Malformed(lineno, f"{name}: non-integer arc field") from None
+                if w < 0:
+                    raise NegativeCost(f"{name} line {lineno}: arc weight {w} < 0")
+                if not (1 <= u <= n) or not (1 <= v <= n):
+                    raise Malformed(lineno, f"{name}: arc endpoint outside 1..{n}")
+                arcs.extend((u, v, w))
+                continue
+            raise Malformed(lineno, f"{name}: unknown line keyword {tokens[0]!r}")
+
+    # As in formats.read_graph: header by lines, a canonical arc block in bulk.
+    text = Path(path).read_text(encoding="ascii")
+    start = text.find("\na ") + 1
+    scan(text[: start or len(text)].splitlines())
+    if start:
+        fields = _arc_fields(text, start, 1, n, m) if n >= 0 and not arcs else None
+        if fields is None:
+            scan(text[start:].splitlines())
+        else:
+            arcs = fields
     if n < 0:
         raise Malformed(lineno, f"{name}: missing problem line")
-    if len(arcs) != m:
-        raise Malformed(lineno, f"{name}: problem line declares {m} arcs, file has {len(arcs)}")
+    if len(arcs) != 3 * m:
+        raise Malformed(
+            lineno, f"{name}: problem line declares {m} arcs, file has {len(arcs) // 3}"
+        )
     return n, m, arcs
 
 
@@ -109,16 +128,14 @@ def parse_dimacs(distance_file: str | Path, time_file: str | Path) -> MosGraph:
         raise ArcSetMismatch(
             f"size mismatch: {dn} vertices/{dm} arcs vs {tn} vertices/{tm} arcs"
         )
-    edges: list[tuple[int, int, Cost]] = []
-    for i, ((du, dv, dw), (tu, tv, tw)) in enumerate(zip(darcs, tarcs)):
-        if du != tu or dv != tv:
-            raise ArcSetMismatch(
-                f"arc {i + 1}: endpoints ({du},{dv}) vs ({tu},{tv})"
-            )
-        edges.append((du, dv, (dw, tw)))
+    us, vs = darcs[0::3], darcs[1::3]
+    if us != tarcs[0::3] or vs != tarcs[1::3]:
+        for i, (du, dv, tu, tv) in enumerate(zip(us, vs, tarcs[0::3], tarcs[1::3])):
+            if du != tu or dv != tv:
+                raise ArcSetMismatch(f"arc {i + 1}: endpoints ({du},{dv}) vs ({tu},{tv})")
     return MosGraph(
         num_vertices=dn,
-        edges=tuple(edges),
+        edges=tuple(zip(us, vs, zip(darcs[2::3], tarcs[2::3]))),
         objectives=(Objective("distance"), Objective("time")),
         metadata={
             "family": "dimacs",

@@ -9,6 +9,8 @@ The graph format is a small extension of the familiar DIMACS arc layout:
     a <u> <v> <c_1> ... <c_d>
 
 A line is its keyword, one space, then fields split on any whitespace.
+read_graph reads an arc block in write_graph's own layout in bulk and any
+other layout line by line; both give the same graph and the same errors.
 write_graph raises ValueError for an objective name or metadata key that
 _NAME_RE does not match, and for a metadata value with a line break or with
 leading or trailing whitespace: those would not read back as written.
@@ -25,6 +27,7 @@ identical files.
 """
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -65,6 +68,39 @@ def _lines(path: str | Path) -> list[str]:
     return Path(path).read_text(encoding="ascii").splitlines()
 
 
+def _arc_fields(
+    text: str, start: int, d: int, num_vertices: int, num_arcs: int
+) -> list[int] | None:
+    """The integers of the arc block text[start:], flat, when it is canonical.
+
+    A canonical block is the layout write_graph emits: `num_arcs` lines
+    `a u v c_1 ... c_d` with single spaces, each ending in a newline, and
+    endpoints in 1..num_vertices.  It is checked with one regex search for a
+    newline that does not start such a line, and converted with one
+    json.loads, which also rejects leading zeros.  None sends the caller to
+    its line loop, which reads any other layout and reports the line of
+    every error; text[start - 1] must be a newline.
+    """
+    try:
+        stray = re.compile(r"\n(?!a [0-9]+ [0-9]+(?: [0-9]+){%d}\n|\Z)" % d)
+    except OverflowError:  # d beyond a regex repeat count: no line has that many fields
+        return None
+    if stray.search(text, start - 1):
+        return None
+    block = text[start + 2 : -1].replace("\na ", ",").replace(" ", ",")
+    try:
+        fields = json.loads(f"[{block}]")
+    except ValueError:  # a leading zero, or an integer too long for int()
+        return None
+    width = 2 + d
+    if len(fields) != width * num_arcs:
+        return None
+    ends = fields[0::width] + fields[1::width]
+    if min(ends) < 1 or max(ends) > num_vertices:
+        return None
+    return fields
+
+
 def write_graph(graph: MosGraph, path: str | Path) -> None:
     """Write a graph in canonical form (sorted arcs, sorted metadata)."""
     out: list[str] = []
@@ -98,69 +134,88 @@ def read_graph(path: str | Path) -> MosGraph:
     metadata: dict[str, str] = {}
     edges: list[tuple[int, int, Cost]] = []
     lineno = 0
-    for lineno, raw in enumerate(_lines(path), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        kind, _, rest = line.partition(" ")
-        if kind == "a":
-            if num_edges < 0:
-                raise Malformed(lineno, "arc before problem line")
-            tokens = rest.split()
-            if len(tokens) != 2 + d:
-                raise Malformed(
-                    lineno, f"expected 'a u v' plus {d} costs, got {len(tokens)} fields"
-                )
-            try:
-                u, v, *cost = map(int, tokens)
-            except ValueError:  # redo field by field: the first bad one raises, named
-                _int(tokens[0], lineno, "arc tail")
-                _int(tokens[1], lineno, "arc head")
-                for t in tokens[2:]:
-                    _int(t, lineno, "arc cost")
-                raise
-            if not (1 <= u <= num_vertices) or not (1 <= v <= num_vertices):
-                raise Malformed(lineno, f"arc endpoint out of range 1..{num_vertices}")
-            if min(cost) < 0:
-                raise Malformed(lineno, "negative arc cost")
-            edges.append((u, v, tuple(cost)))
-            continue
-        if kind == "c":
-            words = rest.split()
-            if len(words) >= 2 and words[0] == "objectives":
-                names = words[1].split(",")
-            elif len(words) >= 2 and words[0] == "meta":
-                metadata[words[1]] = rest.split(None, 2)[2] if len(words) > 2 else ""
-            continue
-        if kind == "p":
-            if num_edges >= 0:
-                raise Malformed(lineno, "duplicate problem line")
-            tokens = rest.split()
-            if len(tokens) != 4 or tokens[0] != "mosp":
-                raise Malformed(lineno, f"expected 'p mosp V E d', got {raw!r}")
-            num_vertices = _int(tokens[1], lineno, "vertex count")
-            num_edges = _int(tokens[2], lineno, "edge count")
-            d = _int(tokens[3], lineno, "objective count")
-            if num_vertices < 1:
-                raise Malformed(lineno, "vertex count must be >= 1")
-            if num_edges < 0:
-                raise Malformed(lineno, "edge count must be >= 0")
-            if d < 1:
-                raise Malformed(lineno, "objective count must be >= 1")
-            continue
-        if kind == "s":
-            if num_edges < 0:
-                raise Malformed(lineno, "scale line before problem line")
-            if scales is not None:
-                raise Malformed(lineno, "duplicate scale line")
-            tokens = rest.split()
-            if len(tokens) != d:
-                raise Malformed(lineno, f"expected {d} scales, got {len(tokens)}")
-            scales = [_int(t, lineno, "scale") for t in tokens]
-            if any(s < 1 for s in scales):
-                raise Malformed(lineno, "scales must be >= 1")
-            continue
-        raise Malformed(lineno, f"unknown line keyword {kind!r}")
+
+    def scan(lines: list[str]) -> None:
+        nonlocal num_vertices, num_edges, d, scales, names, lineno
+        for lineno, raw in enumerate(lines, start=lineno + 1):
+            line = raw.strip()
+            if not line:
+                continue
+            kind, _, rest = line.partition(" ")
+            if kind == "a":
+                if num_edges < 0:
+                    raise Malformed(lineno, "arc before problem line")
+                tokens = rest.split()
+                if len(tokens) != 2 + d:
+                    raise Malformed(
+                        lineno, f"expected 'a u v' plus {d} costs, got {len(tokens)} fields"
+                    )
+                try:
+                    u, v, *cost = map(int, tokens)
+                except ValueError:  # redo field by field: the first bad one raises, named
+                    _int(tokens[0], lineno, "arc tail")
+                    _int(tokens[1], lineno, "arc head")
+                    for t in tokens[2:]:
+                        _int(t, lineno, "arc cost")
+                    raise
+                if not (1 <= u <= num_vertices) or not (1 <= v <= num_vertices):
+                    raise Malformed(lineno, f"arc endpoint out of range 1..{num_vertices}")
+                if min(cost) < 0:
+                    raise Malformed(lineno, "negative arc cost")
+                edges.append((u, v, tuple(cost)))
+                continue
+            if kind == "c":
+                words = rest.split()
+                if len(words) >= 2 and words[0] == "objectives":
+                    names = words[1].split(",")
+                elif len(words) >= 2 and words[0] == "meta":
+                    metadata[words[1]] = rest.split(None, 2)[2] if len(words) > 2 else ""
+                continue
+            if kind == "p":
+                if num_edges >= 0:
+                    raise Malformed(lineno, "duplicate problem line")
+                tokens = rest.split()
+                if len(tokens) != 4 or tokens[0] != "mosp":
+                    raise Malformed(lineno, f"expected 'p mosp V E d', got {raw!r}")
+                num_vertices = _int(tokens[1], lineno, "vertex count")
+                num_edges = _int(tokens[2], lineno, "edge count")
+                d = _int(tokens[3], lineno, "objective count")
+                if num_vertices < 1:
+                    raise Malformed(lineno, "vertex count must be >= 1")
+                if num_edges < 0:
+                    raise Malformed(lineno, "edge count must be >= 0")
+                if d < 1:
+                    raise Malformed(lineno, "objective count must be >= 1")
+                continue
+            if kind == "s":
+                if num_edges < 0:
+                    raise Malformed(lineno, "scale line before problem line")
+                if scales is not None:
+                    raise Malformed(lineno, "duplicate scale line")
+                tokens = rest.split()
+                if len(tokens) != d:
+                    raise Malformed(lineno, f"expected {d} scales, got {len(tokens)}")
+                scales = [_int(t, lineno, "scale") for t in tokens]
+                if any(s < 1 for s in scales):
+                    raise Malformed(lineno, "scales must be >= 1")
+                continue
+            raise Malformed(lineno, f"unknown line keyword {kind!r}")
+
+    # The header goes through the line loop, then the arc block is read in
+    # bulk if it is canonical (see _arc_fields) and line by line otherwise.
+    text = Path(path).read_text(encoding="ascii")
+    start = text.find("\na ") + 1
+    scan(text[: start or len(text)].splitlines())
+    if start:
+        fields = None
+        if num_edges >= 0 and not edges:
+            fields = _arc_fields(text, start, d, num_vertices, num_edges)
+        if fields is None:
+            scan(text[start:].splitlines())
+        else:
+            it = iter(fields)
+            edges = list(zip(it, it, zip(*[it] * d)))
+            lineno += num_edges
     if num_edges < 0:
         raise Malformed(lineno, "missing problem line")
     if len(edges) != num_edges:
@@ -185,8 +240,11 @@ def write_queries(queries: Sequence[Query], path: str | Path) -> None:
     Path(path).write_text("\n".join(out) + ("\n" if out else ""), encoding="ascii")
 
 
-def read_queries(path: str | Path) -> list[Query]:
-    """Parse `q source target` lines; indices follow file order."""
+def read_queries(path: str | Path, *, num_vertices: int | None = None) -> list[Query]:
+    """Parse `q source target` lines; indices follow file order.
+
+    With `num_vertices`, an endpoint beyond it is reported on its line.
+    """
     out: list[Query] = []
     for lineno, raw in enumerate(_lines(path), start=1):
         line = raw.strip()
@@ -199,6 +257,10 @@ def read_queries(path: str | Path) -> list[Query]:
         t = _int(tokens[2], lineno, "target")
         if s < 1 or t < 1:
             raise Malformed(lineno, "query endpoints must be >= 1")
+        if num_vertices is not None:
+            for what, x in (("source", s), ("target", t)):
+                if x > num_vertices:
+                    raise Malformed(lineno, f"{what} {x} outside 1..{num_vertices}")
         out.append(Query(s, t, len(out)))
     return out
 

@@ -11,8 +11,10 @@ on (f, vertex) have equal g, and closed ids grow in expansion order, so the
 pop order is the order of their parents' expansions.  Each expansion holds
 back its smallest child and the next pop is a heappushpop of it, which
 returns the same label a push and a pop would, often without moving
-anything in the heap.  Arcs are read from the graph's per-vertex rows of
-its own edge tuples (MosGraph.out_arcs).
+anything in the heap.  A label that becomes dominated after its push stays
+in the heap until it is popped and discarded; nothing rebuilds the heap, so
+the open list grows with the pushes a search makes.  Arcs are read from the
+graph's per-vertex rows of its own edge tuples (MosGraph.out_arcs).
 
 The search only ever computes the exact Pareto front, in lexicographic
 order.  An epsilon-approximate front is derived from it by greedy
@@ -37,10 +39,6 @@ from .errors import (
 )
 
 INF = float("inf")
-
-# Heap compaction threshold: when the open list grows past this, entries
-# that are already pruned get dropped and the heap is rebuilt.
-_COMPACT_START = 8_000_000
 
 # Parent-id field width; 2^44 expansions is out of reach in practice.
 _ID_BITS = 44
@@ -213,7 +211,6 @@ def _search_bi(
     pop = heapq.heappop
     pushpop = heapq.heappushpop
     pops = 0
-    next_compact = _COMPACT_START
 
     while held or heap:
         key = pushpop(heap, held) if held else pop(heap)
@@ -258,20 +255,6 @@ def _search_bi(
                 held = k
             else:
                 push(heap, k)
-        if len(heap) >= next_compact:
-            kept = []
-            for k in heap:
-                r = k >> p_bits
-                kv = r & v_mask
-                kf2 = (r >> v_bits) & f2_mask
-                if kf2 >= tbound:
-                    continue
-                if kv != tgt and kf2 - h2[kv] >= g2min[kv]:
-                    continue
-                kept.append(k)
-            heapq.heapify(kept)
-            heap = kept
-            next_compact = max(_COMPACT_START, 2 * len(heap))
 
     return _materialize(sols, tgt, closed_v, closed_p)
 
@@ -378,7 +361,6 @@ def _search_multi(
     held = pack([hcols[k][src] for k in range(d)], src, 0)
     heap: list[int] = []
     pops = 0
-    next_compact = _COMPACT_START
 
     while held or heap:
         key = heapq.heappushpop(heap, held) if held else heapq.heappop(heap)
@@ -421,22 +403,6 @@ def _search_multi(
                 held = k
             else:
                 heapq.heappush(heap, k)
-        if len(heap) >= next_compact:
-            kept = []
-            for k in heap:
-                r = k >> p_bits
-                kv = r & v_mask
-                kf = unpack_f(r >> v_bits)
-                if store.dominated(tgt, tuple(kf[1:])):
-                    continue
-                if kv != tgt and store.dominated(
-                    kv, tuple(kf[j] - hcols[j][kv] for j in range(1, d))
-                ):
-                    continue
-                kept.append(k)
-            heapq.heapify(kept)
-            heap = kept
-            next_compact = max(_COMPACT_START, 2 * len(heap))
 
     return _materialize(sols, tgt, closed_v, closed_p)
 

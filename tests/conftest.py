@@ -4,7 +4,10 @@ from __future__ import annotations
 import random
 import sys
 
+from hypothesis import strategies as st
+
 from mosbench.core import MosGraph, Objective, Query
+from mosbench.errors import MosbenchError
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -73,3 +76,60 @@ def twin_arc_chain(hops: int) -> MosGraph:
         e for u in range(1, hops + 1) for e in ((u, u + 1, (1, 2)), (u, u + 1, (2, 1)))
     )
     return MosGraph(hops + 1, edges, (Objective("a"), Objective("b")))
+
+
+def read_outcome(read, path):
+    """What a reader makes of a file: its result, or the type and text of its error."""
+    try:
+        return read(path)
+    except (MosbenchError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _relaid(draw, line: str) -> str:
+    if not line.startswith("a "):
+        return line
+    tokens = line.split(" ")
+    how = draw(st.sampled_from(("same", "tabs", "spaces", "zero", "blanks")))
+    if how == "tabs":
+        return "a " + "\t".join(tokens[1:])
+    if how == "spaces":
+        return "   ".join(tokens)
+    if how == "zero":
+        i = draw(st.integers(1, len(tokens) - 1))
+        tokens[i] = "0" + tokens[i]
+    if how == "blanks":
+        return f" {line}\t"
+    return " ".join(tokens)
+
+
+@st.composite
+def arc_file_texts(draw, text: str) -> str:
+    """`text`, a canonical arc file, as written or in another layout, maybe mutated.
+
+    Other layouts put tabs, runs of spaces or a leading zero into arc lines,
+    blanks around them and blank or `c` lines between them, end lines in
+    CRLF, or drop the final newline.  A mutation deletes, inserts or
+    replaces one character, or moves the declared arc count by one.
+    """
+    lines = text.splitlines()
+    if draw(st.booleans()):
+        out = []
+        for line in lines:
+            out.append(_relaid(draw, line))
+            out += draw(st.lists(st.sampled_from(("", "  ", "c note")), max_size=1))
+        end = draw(st.sampled_from(("\n", "\r\n")))
+        text = end.join(out) + draw(st.sampled_from((end, "")))
+    how = draw(st.sampled_from(("none", "none", "delete", "insert", "replace", "count")))
+    if how == "count":
+        i = next(i for i, line in enumerate(lines) if line.startswith("p "))
+        tokens = lines[i].split(" ")
+        tokens[3] = str(int(tokens[3]) + draw(st.sampled_from((-1, 1))))
+        lines[i] = " ".join(tokens)
+        return "\n".join(lines) + "\n"
+    if how != "none" and text:
+        i = draw(st.integers(0, len(text) - 1))
+        c = draw(st.sampled_from(" \t\r\n0123456789-+acx"))
+        keep = i + (how != "insert")
+        text = text[:i] + ("" if how == "delete" else c) + text[keep:]
+    return text

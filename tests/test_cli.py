@@ -283,6 +283,24 @@ class TestSolve:
         assert code == EXIT_USAGE
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["solve", "--out-solutions", "s.sol", "--out-records", "r.csv"],
+            ["verify", "--solutions", "s.sol"],
+        ],
+    )
+    def test_query_beyond_vertex_count_names_its_line(self, tmp_path, capsys, command):
+        (tmp_path / "g.gr").write_text("p mosp 3 1 2\na 1 2 1 1\n")
+        (tmp_path / "q.txt").write_text("q 1 2\nc next\nq 1 99\n")
+        (tmp_path / "s.sol").write_text("")
+        argv = [tmp_path / a if a.endswith((".sol", ".csv")) else a for a in command]
+        code = run_main(
+            [*argv, "--graph", tmp_path / "g.gr", "--queries", tmp_path / "q.txt"]
+        )
+        assert code == EXIT_USAGE
+        assert "line 3: target 99 outside 1..3" in capsys.readouterr().err
+
     def test_missing_graph_file(self, tmp_path, capsys):
         code = run_main(
             [

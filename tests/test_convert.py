@@ -3,9 +3,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mosbench import convert
 from mosbench.convert import (
     FIXED_SCALE,
     ClearanceRoadmap,
@@ -22,7 +26,7 @@ from mosbench.convert import (
     read_roadmap,
     write_guards_map,
 )
-from mosbench.core import MosGraph, Objective
+from mosbench.core import Cost, MosGraph, Objective
 from mosbench.errors import (
     ArcSetMismatch,
     BadToken,
@@ -35,6 +39,8 @@ from mosbench.errors import (
     NonPositiveClearance,
     RootOutOfRange,
 )
+
+from conftest import arc_file_texts, read_outcome
 
 
 def write(tmp_path, name, text):
@@ -70,6 +76,14 @@ class TestDimacsPair:
                 write(tmp_path, "d.gr", self.DIST), write(tmp_path, "t.gr", other)
             )
         assert "arc 2" in str(err.value)
+
+    def test_head_mismatch_names_first_arc(self, tmp_path):
+        other = "p sp 3 3\na 1 2 5\na 2 1 9\na 3 2 2\n"
+        with pytest.raises(ArcSetMismatch) as err:
+            parse_dimacs(
+                write(tmp_path, "d.gr", self.DIST), write(tmp_path, "t.gr", other)
+            )
+        assert str(err.value) == "arc 2: endpoints (2,3) vs (2,1)"
 
     def test_negative_weight(self, tmp_path):
         bad = "p sp 2 1\na 1 2 -3\n"
@@ -109,6 +123,124 @@ class TestDimacsPair:
             parse_dimacs(p, p)
         assert err.value.reason == message
         assert err.value.line_number == line
+
+
+
+def line_by_line_parse_gr(path: str | Path) -> tuple[int, int, list[tuple[int, int, int]]]:
+    """_parse_gr with every line through the line loop, arcs as triples: the reference."""
+    n = m = -1
+    arcs: list[tuple[int, int, int]] = []
+    name = Path(path).name
+    lineno = 0
+    for lineno, raw in enumerate(Path(path).read_text(encoding="ascii").splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        tokens = line.split()
+        if tokens[0] == "p":
+            if n >= 0:
+                raise Malformed(lineno, f"{name}: duplicate problem line")
+            if len(tokens) != 4 or tokens[1] != "sp":
+                raise Malformed(lineno, f"{name}: expected 'p sp n m', got {raw!r}")
+            try:
+                n, m = int(tokens[2]), int(tokens[3])
+            except ValueError:
+                raise Malformed(lineno, f"{name}: non-integer problem sizes") from None
+            if n < 1:
+                raise Malformed(lineno, f"{name}: vertex count must be >= 1")
+            if m < 0:
+                raise Malformed(lineno, f"{name}: arc count must be >= 0")
+            continue
+        if tokens[0] == "a":
+            if n < 0:
+                raise Malformed(lineno, f"{name}: arc before problem line")
+            if len(tokens) != 4:
+                raise Malformed(lineno, f"{name}: expected 'a u v w', got {raw!r}")
+            try:
+                u, v, w = int(tokens[1]), int(tokens[2]), int(tokens[3])
+            except ValueError:
+                raise Malformed(lineno, f"{name}: non-integer arc field") from None
+            if w < 0:
+                raise NegativeCost(f"{name} line {lineno}: arc weight {w} < 0")
+            if not (1 <= u <= n) or not (1 <= v <= n):
+                raise Malformed(lineno, f"{name}: arc endpoint outside 1..{n}")
+            arcs.append((u, v, w))
+            continue
+        raise Malformed(lineno, f"{name}: unknown line keyword {tokens[0]!r}")
+    if n < 0:
+        raise Malformed(lineno, f"{name}: missing problem line")
+    if len(arcs) != m:
+        raise Malformed(lineno, f"{name}: problem line declares {m} arcs, file has {len(arcs)}")
+    return n, m, arcs
+
+
+def line_by_line_parse_dimacs(distance_file: Path, time_file: Path) -> MosGraph:
+    """parse_dimacs over the reference reader, comparing endpoints arc by arc."""
+    dn, dm, darcs = line_by_line_parse_gr(distance_file)
+    tn, tm, tarcs = line_by_line_parse_gr(time_file)
+    if dn != tn or dm != tm:
+        raise ArcSetMismatch(
+            f"size mismatch: {dn} vertices/{dm} arcs vs {tn} vertices/{tm} arcs"
+        )
+    edges: list[tuple[int, int, Cost]] = []
+    for i, ((du, dv, dw), (tu, tv, tw)) in enumerate(zip(darcs, tarcs)):
+        if du != tu or dv != tv:
+            raise ArcSetMismatch(f"arc {i + 1}: endpoints ({du},{dv}) vs ({tu},{tv})")
+        edges.append((du, dv, (dw, tw)))
+    return MosGraph(dn, tuple(edges), (Objective("distance"), Objective("time")))
+
+
+@st.composite
+def dimacs_texts(draw) -> tuple[str, str]:
+    """A canonical distance/time file pair over one arc list, parallel arcs included."""
+    n = draw(st.integers(1, 6))
+    weight = st.integers(0, 3) | st.integers(0, 2**70)
+    arcs = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=12))
+    arcs += draw(st.lists(st.sampled_from(arcs), max_size=4)) if arcs else []
+    head = draw(st.sampled_from(("", "c 9th DIMACS\n"))) + f"p sp {n} {len(arcs)}\n"
+    moved = list(arcs)
+    if arcs and draw(st.booleans()):  # one endpoint of one time-file arc differs
+        i = draw(st.integers(0, len(arcs) - 1))
+        w = draw(st.integers(1, n))
+        moved[i] = (w, arcs[i][1]) if draw(st.booleans()) else (arcs[i][0], w)
+    return tuple(
+        head + "".join(f"a {u} {v} {draw(weight)}\n" for u, v in side) for side in (arcs, moved)
+    )
+
+
+def _flat_reference(path: Path) -> tuple[int, int, list[int]]:
+    n, m, arcs = line_by_line_parse_gr(path)
+    return n, m, [x for arc in arcs for x in arc]
+
+
+def _gr_outcome(read, path):
+    out = read_outcome(read, path)
+    if isinstance(out, MosGraph):
+        return out.num_vertices, out.edges
+    return out
+
+
+class TestDimacsBulkArcBlock:
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_matches_line_by_line_reader(self, tmp_path_factory, data):
+        dist, time = data.draw(dimacs_texts())
+        work = tmp_path_factory.mktemp("gr")
+        d, t = work / "d.gr", work / "t.gr"
+        d.write_bytes(data.draw(arc_file_texts(dist)).encode())
+        t.write_bytes(data.draw(arc_file_texts(time)).encode())
+        assert read_outcome(convert._parse_gr, d) == read_outcome(_flat_reference, d)
+        merged = _gr_outcome(lambda p: parse_dimacs(p, t), d)
+        assert merged == _gr_outcome(lambda p: line_by_line_parse_dimacs(p, t), d)
+
+    def test_canonical_block_is_read_in_bulk(self, tmp_path, monkeypatch):
+        seen = []
+        bulk = convert._arc_fields
+        monkeypatch.setattr(convert, "_arc_fields", lambda *a: seen.append(bulk(*a)) or seen[-1])
+        d = write(tmp_path, "d.gr", TestDimacsPair.DIST)
+        t = write(tmp_path, "t.gr", TestDimacsPair.TIME.replace("a 3 1 2", "a 3 1  2"))
+        assert parse_dimacs(d, t).edges == ((1, 2, (40, 5)), (2, 3, (7, 9)), (3, 1, (12, 2)))
+        assert seen == [[1, 2, 40, 2, 3, 7, 3, 1, 12], None]
 
 
 class TestElevation:

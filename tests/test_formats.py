@@ -4,12 +4,15 @@ from __future__ import annotations
 import random
 import string
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mosbench import formats
 from mosbench.core import (
+    Cost,
     Epsilon,
     MosGraph,
     Objective,
@@ -19,6 +22,7 @@ from mosbench.core import (
 )
 from mosbench.errors import Malformed
 from mosbench.formats import (
+    _int,
     read_graph,
     read_queries,
     read_solutions,
@@ -27,7 +31,7 @@ from mosbench.formats import (
     write_solutions,
 )
 
-from conftest import random_graph
+from conftest import arc_file_texts, random_graph, read_outcome
 
 
 class TestGraphFormat:
@@ -231,6 +235,144 @@ def test_graph_write_read_write_is_byte_identical(tmp_path_factory, g):
     assert back.metadata == g.metadata
     write_graph(back, p)
     assert p.read_bytes() == first
+
+
+
+def line_by_line_read_graph(path: str | Path) -> MosGraph:
+    """read_graph with every line through the line loop: the bulk path's reference."""
+    num_vertices = 0
+    num_edges = -1
+    d = 0
+    scales: list[int] | None = None
+    names: list[str] | None = None
+    metadata: dict[str, str] = {}
+    edges: list[tuple[int, int, Cost]] = []
+    lineno = 0
+    for lineno, raw in enumerate(Path(path).read_text(encoding="ascii").splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        kind, _, rest = line.partition(" ")
+        if kind == "a":
+            if num_edges < 0:
+                raise Malformed(lineno, "arc before problem line")
+            tokens = rest.split()
+            if len(tokens) != 2 + d:
+                raise Malformed(
+                    lineno, f"expected 'a u v' plus {d} costs, got {len(tokens)} fields"
+                )
+            try:
+                u, v, *cost = map(int, tokens)
+            except ValueError:  # redo field by field: the first bad one raises, named
+                _int(tokens[0], lineno, "arc tail")
+                _int(tokens[1], lineno, "arc head")
+                for t in tokens[2:]:
+                    _int(t, lineno, "arc cost")
+                raise
+            if not (1 <= u <= num_vertices) or not (1 <= v <= num_vertices):
+                raise Malformed(lineno, f"arc endpoint out of range 1..{num_vertices}")
+            if min(cost) < 0:
+                raise Malformed(lineno, "negative arc cost")
+            edges.append((u, v, tuple(cost)))
+            continue
+        if kind == "c":
+            words = rest.split()
+            if len(words) >= 2 and words[0] == "objectives":
+                names = words[1].split(",")
+            elif len(words) >= 2 and words[0] == "meta":
+                metadata[words[1]] = rest.split(None, 2)[2] if len(words) > 2 else ""
+            continue
+        if kind == "p":
+            if num_edges >= 0:
+                raise Malformed(lineno, "duplicate problem line")
+            tokens = rest.split()
+            if len(tokens) != 4 or tokens[0] != "mosp":
+                raise Malformed(lineno, f"expected 'p mosp V E d', got {raw!r}")
+            num_vertices = _int(tokens[1], lineno, "vertex count")
+            num_edges = _int(tokens[2], lineno, "edge count")
+            d = _int(tokens[3], lineno, "objective count")
+            if num_vertices < 1:
+                raise Malformed(lineno, "vertex count must be >= 1")
+            if num_edges < 0:
+                raise Malformed(lineno, "edge count must be >= 0")
+            if d < 1:
+                raise Malformed(lineno, "objective count must be >= 1")
+            continue
+        if kind == "s":
+            if num_edges < 0:
+                raise Malformed(lineno, "scale line before problem line")
+            if scales is not None:
+                raise Malformed(lineno, "duplicate scale line")
+            tokens = rest.split()
+            if len(tokens) != d:
+                raise Malformed(lineno, f"expected {d} scales, got {len(tokens)}")
+            scales = [_int(t, lineno, "scale") for t in tokens]
+            if any(s < 1 for s in scales):
+                raise Malformed(lineno, "scales must be >= 1")
+            continue
+        raise Malformed(lineno, f"unknown line keyword {kind!r}")
+    if num_edges < 0:
+        raise Malformed(lineno, "missing problem line")
+    if len(edges) != num_edges:
+        raise Malformed(lineno, f"problem line declares {num_edges} arcs, file has {len(edges)}")
+    if names is not None and len(names) != d:
+        raise Malformed(lineno, f"objective comment names {len(names)} of {d} objectives")
+    if names is None:
+        names = [f"c{i + 1}" for i in range(d)]
+    if scales is None:
+        scales = [1] * d
+    return MosGraph(
+        num_vertices=num_vertices,
+        edges=tuple(edges),
+        objectives=tuple(Objective(n, s) for n, s in zip(names, scales)),
+        metadata=metadata,
+    )
+
+
+def _graph_outcome(read, path):
+    out = read_outcome(read, path)
+    if isinstance(out, MosGraph):
+        return out.num_vertices, out.edges, out.objectives, out.metadata
+    return out
+
+
+class TestBulkArcBlock:
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_matches_line_by_line_reader(self, tmp_path_factory, data):
+        g = data.draw(writable_graphs())
+        p = tmp_path_factory.mktemp("bulk") / "g.gr"
+        write_graph(g, p)
+        p.write_bytes(data.draw(arc_file_texts(p.read_text())).encode())
+        assert _graph_outcome(read_graph, p) == _graph_outcome(line_by_line_read_graph, p)
+
+    def test_canonical_block_is_read_in_bulk(self, tmp_path, monkeypatch):
+        seen = []
+        bulk = formats._arc_fields
+        monkeypatch.setattr(formats, "_arc_fields", lambda *a: seen.append(bulk(*a)) or seen[-1])
+        edges = ((1, 2, (0, 2**70)), (1, 2, (5, 1)), (3, 1, (7, 0)))
+        g = MosGraph(3, edges, (Objective("a"), Objective("b")))
+        p = tmp_path / "g.gr"
+        write_graph(g, p)
+        assert read_graph(p).edges == g.edges
+        p.write_text(p.read_text().replace("a 3 1 7 0", "a 3 1 7\t0"))
+        assert read_graph(p).edges == g.edges
+        assert seen == [[1, 2, 0, 2**70, 1, 2, 5, 1, 3, 1, 7, 0], None]
+
+    @pytest.mark.parametrize(
+        "head,reason",
+        [
+            ("c objectives a\np mosp 2 3 1", "problem line declares 3 arcs, file has 2"),
+            ("c objectives a,b\np mosp 2 2 1", "objective comment names 2 of 1 objectives"),
+        ],
+    )
+    def test_canonical_file_errors_name_last_line(self, tmp_path, head, reason):
+        p = tmp_path / "g.gr"
+        p.write_text(head + "\na 1 2 4\na 2 1 5\n")
+        for read in (read_graph, line_by_line_read_graph):
+            with pytest.raises(Malformed) as err:
+                read(p)
+            assert (err.value.line_number, err.value.reason) == (4, reason)
 
 
 class TestQueryFormat:
