@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import convert, formats, generate, protocol
-from .core import Epsilon, _fraction_text
+from .core import Epsilon, SolutionSet, _fraction_text
 from .errors import MosbenchError
 
 EXIT_OK = 0
@@ -111,6 +111,20 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _blocks_by_query(sets: list[SolutionSet]) -> dict[int, list[SolutionSet]]:
+    out: dict[int, list[SolutionSet]] = {}
+    for ss in sets:
+        out.setdefault(ss.query.index, []).append(ss)
+    return out
+
+
+def _block_at(blocks: list[SolutionSet], eps: Epsilon) -> SolutionSet | None:
+    """A query's block at eps; a query with a single block pairs it whatever its eps."""
+    if len(blocks) == 1:
+        return blocks[0]
+    return next((ss for ss in blocks if ss.epsilon == eps), None)
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     failures = 0
     ran = False
@@ -141,20 +155,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
             return EXIT_USAGE
         d = exact_sets[0].epsilon.d
         eps = Epsilon.from_text(args.eps, d)
-        approx_by_idx = {ss.query.index: ss for ss in approx_sets}
+        exact_by_idx = _blocks_by_query(exact_sets)
+        approx_by_idx = _blocks_by_query(approx_sets)
         pairs = 0
-        for ex in exact_sets:
-            ap = approx_by_idx.get(ex.query.index)
+        for idx, blocks in exact_by_idx.items():
+            ex = _block_at(blocks, Epsilon.zero(d))
+            if ex is None:
+                failures += 1
+                print(f"query {idx}: no eps=0 set in the exact file")
+                continue
+            ap = _block_at(approx_by_idx.get(idx, []), eps)
             if ap is None:
                 failures += 1
-                print(f"query {ex.query.index}: no matching approximate set")
+                print(f"query {idx}: no matching approximate set")
                 continue
             pairs += 1
             ok, uncovered = protocol.verify_coverage(ex, ap, eps)
             if not ok:
                 failures += 1
                 for c in uncovered:
-                    print(f"query {ex.query.index}: uncovered exact cost {c}")
+                    print(f"query {idx}: uncovered exact cost {c}")
         print(f"coverage at eps={eps.display()}: {pairs} pairs, {failures} failures")
     if not ran:
         print("error: nothing to verify; pass --solutions or --exact/--approx", file=sys.stderr)

@@ -113,6 +113,11 @@ class MosGraph:
         }
 
     @cached_property
+    def cost_sums(self) -> Cost:
+        """Each objective summed over every edge: no simple path costs more."""
+        return tuple(map(sum, zip(*[c for _, _, c in self.edges]))) or (0,) * self.d
+
+    @cached_property
     def out_arcs(self) -> list[list[tuple[int, int, Cost]]]:
         """out_arcs[v]: the edge tuples leaving v, in edge-tuple order."""
         return self._csr(forward=True)

@@ -21,6 +21,10 @@ query index.  Solution files hold one block per (query, epsilon) pair:
     r <query_index> <eps_1,...,eps_d> <count>
     x <c_1> ... <c_d> : <v_1> <v_2> ... <v_k>
 
+An `x` line without a witness path ends after its costs.  read_solutions
+reads a file in write_solutions' own layout in bulk and any other layout
+line by line; both give the same sets and the same errors.
+
 Writers emit a canonical order (arcs sorted by (u, v, cost), solution
 entries sorted lexicographically by cost), so equal inputs produce byte
 identical files.
@@ -280,12 +284,65 @@ def write_solutions(
         eps_text = ",".join(_fraction_text(v) for v in ss.epsilon.values)
         out.append(f"r {ss.query.index} {eps_text} {len(ss.entries)}")
         for entry in sorted(ss.entries, key=lambda e: e.cost):
-            cost_text = " ".join(str(c) for c in entry.cost)
+            cost_text = " ".join(map(str, entry.cost))
             if include_paths and entry.path is not None:
-                out.append(f"x {cost_text} : " + " ".join(str(v) for v in entry.path))
+                out.append(f"x {cost_text} : " + " ".join(map(str, entry.path)))
             else:
                 out.append(f"x {cost_text}")
     Path(path).write_text("\n".join(out) + ("\n" if out else ""), encoding="ascii")
+
+
+# Where a `.sol` text leaves write_solutions' layout: at its start, anything
+# but an optional comment line and then an `r` line or the end; after that, a
+# newline that does not start an `r idx eps count` or `x ...` line or end the
+# text.  The `x` pattern admits runs of spaces; json.loads rejects the empty
+# fields they leave.
+_SOL_HEAD = re.compile(r"(?:c[ -~]*\n)?(?:r [0-9]+ [0-9./,]+ [0-9]+\n|\Z)")
+_SOL_STRAY = re.compile(r"\n(?!r [0-9]+ [0-9./,]+ [0-9]+\n|x [0-9 ]+(?: : [0-9 ]+)?\n|\Z)")
+
+
+def _solution_blocks(text: str, queries: Sequence[Query] | None) -> list[SolutionSet] | None:
+    """The solution sets of `text` when it is in write_solutions' layout.
+
+    That layout is an optional `c` line, then `r idx eps count` lines each
+    followed by its `x c_1 .. c_d : v_1 .. v_k` or `x c_1 .. c_d` lines,
+    single spaces, every line ending in a newline.  It is checked with two
+    regexes, and each block's `x` lines are converted with one json.loads,
+    which also rejects leading zeros and integers too long for int().  None
+    (any other layout, or a block the line loop would reject) sends the
+    caller to its line loop, which reports every error with its line.
+    """
+    if not _SOL_HEAD.match(text) or _SOL_STRAY.search(text):
+        return None
+    start = text.find("\n") + 1 if text[:1] == "c" else 0
+    sets: list[SolutionSet] = []
+    try:
+        for block in ("\n" + text[start:-1]).split("\nr ")[1:]:
+            head, _, lines = block.partition("\n")
+            index, eps_text, count = head.split(" ")
+            epsilon = Epsilon(tuple(map(Fraction, eps_text.split(","))))
+            qidx = int(index)
+            if queries is None:
+                query = Query(0, 0, qidx)
+            elif qidx < len(queries):
+                query = queries[qidx]
+            else:
+                return None
+            rows = []
+            if lines:
+                body = lines[2:].replace("\nx ", "]],[[").replace(" : ", "],[").replace(" ", ",")
+                rows = json.loads(f"[[[{body}]]]")
+            d = epsilon.d
+            if len(rows) != int(count) or any(len(row[0]) != d for row in rows):
+                return None
+            entries = tuple(
+                SolutionEntry(tuple(row[0]), tuple(row[1]) if len(row) > 1 else None)
+                for row in rows
+            )
+            sets.append(SolutionSet(query, epsilon, entries))
+    except (ValueError, ZeroDivisionError):  # bad epsilon text, leading zero, digit limit
+        return None
+    return sets
 
 
 def read_solutions(
@@ -295,8 +352,16 @@ def read_solutions(
 
     When `queries` is given, each block's query index binds to the matching
     Query; otherwise placeholder endpoints (0, 0) are used and only the
-    index is meaningful.
+    index is meaningful.  A file in write_solutions' layout is read in bulk
+    (see _solution_blocks), any other line by line; both give the same sets
+    and the same errors.
     """
+    text = Path(path).read_text(encoding="ascii")
+    sets = _solution_blocks(text, queries)
+    return _solution_lines(text.splitlines(), queries) if sets is None else sets
+
+
+def _solution_lines(lines: list[str], queries: Sequence[Query] | None) -> list[SolutionSet]:
     sets: list[SolutionSet] = []
     pending: int = 0
     query: Query | None = None
@@ -316,7 +381,7 @@ def read_solutions(
         entries.clear()
 
     lineno = 0
-    for lineno, raw in enumerate(_lines(path), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue

@@ -165,27 +165,31 @@ class VerificationReport:
         return not self.violations
 
 
-def _path_can_cost(graph: MosGraph, path: Sequence[int], cost: Cost, base: Cost) -> bool:
-    """Whether some choice among parallel edges gives the path this exact cost.
+def _path_can_cost(
+    graph: MosGraph, hops: Sequence[tuple[int, int]], cost: Cost, base: Cost
+) -> bool:
+    """Whether some choice among parallel edges gives a path this exact cost.
 
-    base is path_cost(graph, path), which takes the lexicographically
-    smallest arc of every hop, so what is left to cover is cost - base.
-    Only the hops with more than one distinct arc cost can change that;
-    their alternatives come from the graph's cached table of deltas over the
-    smallest arc.  Those hops are walked level by level over the set of
-    remainders still to be covered, each kept only while it lies within the
-    componentwise [min, max] delta sums of the hops after it.  The cost is
-    reachable when the zero vector is left after the last such hop.  Equal
+    hops are the path's (u, v) pairs, all arcs of the graph, and base is
+    their path_cost, which takes the lexicographically smallest arc of every
+    hop, so what is left to cover is cost - base.  Only the hops with more
+    than one distinct arc cost can change that; their alternatives come from
+    the graph's cached table of deltas over the smallest arc.  Those hops
+    are walked level by level over the set of remainders still to be
+    covered, each kept only while it lies within the componentwise
+    [min, max] delta sums of the hops after it.  The cost is reachable when
+    the zero vector is left; since every hop has the zero delta, a zero
+    remainder stays within every later bound and ends the walk.  Equal
     remainders merge, so the work grows with the number of distinct partial
     sums, not of arc choices.  For d=2 the walk runs on (r1, r2) pairs
     against scalar suffix bounds.
     """
-    hops = [h for h in map(graph._parallel_arcs.get, zip(path, path[1:])) if h]
+    multi = [h for h in map(graph._parallel_arcs.get, hops) if h]
     if graph.d == 2:
-        # bounds[i]: min and max delta sums (lo1, lo2, hi1, hi2) of hops[i + 1:].
+        # bounds[i]: min and max delta sums (lo1, lo2, hi1, hi2) of multi[i + 1:].
         lo1 = lo2 = hi1 = hi2 = 0
         bounds = []
-        for _, (l1, l2), (u1, u2) in reversed(hops):
+        for _, (l1, l2), (u1, u2) in reversed(multi):
             bounds.append((lo1, lo2, hi1, hi2))
             lo1 += l1
             lo2 += l2
@@ -193,27 +197,27 @@ def _path_can_cost(graph: MosGraph, path: Sequence[int], cost: Cost, base: Cost)
             hi2 += u2
         bounds.reverse()
         pairs = {(cost[0] - base[0], cost[1] - base[1])}
-        for (deltas, _, _), (a1, a2, b1, b2) in zip(hops, bounds):
+        for (deltas, _, _), (a1, a2, b1, b2) in zip(multi, bounds):
             pairs = {
                 (r1, r2)
                 for x1, x2 in pairs
                 for o1, o2 in deltas
                 if a1 <= (r1 := x1 - o1) <= b1 and a2 <= (r2 := x2 - o2) <= b2
             }
-            if not pairs:
-                return False
+            if not pairs or (0, 0) in pairs:
+                break
         return (0, 0) in pairs
     zero = (0,) * graph.d
-    # lo[i], hi[i]: componentwise min and max delta sums of the hops hops[i:].
+    # lo[i], hi[i]: componentwise min and max delta sums of the hops multi[i:].
     lo = [zero]
     hi = [zero]
-    for _, dlo, dhi in reversed(hops):
+    for _, dlo, dhi in reversed(multi):
         lo.append(tuple(map(add, lo[-1], dlo)))
         hi.append(tuple(map(add, hi[-1], dhi)))
     lo.reverse()
     hi.reverse()
     level = {tuple(map(sub, cost, base))}
-    for (deltas, _, _), lo_i, hi_i in zip(hops, lo[1:], hi[1:]):
+    for (deltas, _, _), lo_i, hi_i in zip(multi, lo[1:], hi[1:]):
         level = {
             r
             for acc in level
@@ -221,8 +225,8 @@ def _path_can_cost(graph: MosGraph, path: Sequence[int], cost: Cost, base: Cost)
             for r in (tuple(map(sub, acc, o)),)
             if all(map(le, lo_i, r)) and all(map(le, r, hi_i))
         }
-        if not level:
-            return False
+        if not level or zero in level:
+            break
     return zero in level
 
 
@@ -238,12 +242,13 @@ def verify_solutions(
     pairwise, in entry order, to name the first entry that dominates it.
     """
     v: list[str] = []
+    d = graph.d
     costs = solset.costs()
     seen: dict[Cost, int] = {}
     for i, c in enumerate(costs):
-        if len(c) != graph.d:
+        if len(c) != d:
             raise DimensionMismatch(
-                f"entry {i} has {len(c)} cost components, graph has {graph.d} objectives"
+                f"entry {i} has {len(c)} cost components, graph has {d} objectives"
             )
         if c in seen:
             v.append(f"Duplicate: entry {i} repeats the cost of entry {seen[c]}")
@@ -257,6 +262,7 @@ def verify_solutions(
             if i != j and dominates(cj, ci):
                 v.append(f"DominanceViolation: entry {i} is dominated by entry {j}")
                 break
+    min_cost = graph._min_edge_cost.get
     for i, entry in enumerate(solset.entries):
         if entry.path is None:
             continue
@@ -267,12 +273,17 @@ def verify_solutions(
         if p and p[-1] != query.target:
             v.append(f"PathEnd: entry {i} ends at {p[-1]}, query target is {query.target}")
             continue
-        try:
-            rc = path_cost(graph, p)
-        except NonEdge as exc:
-            v.append(f"PathBroken: entry {i}: {exc}")
-            continue
-        if rc != entry.cost and not _path_can_cost(graph, p, entry.cost, rc):
+        hops = list(zip(p, p[1:]))
+        arcs = list(map(min_cost, hops))
+        if arcs and None not in arcs:
+            rc = tuple(map(sum, zip(*arcs)))
+        else:  # path_cost names the missing arc or bad vertex, or costs one vertex
+            try:
+                rc = path_cost(graph, p)
+            except NonEdge as exc:
+                v.append(f"PathBroken: entry {i}: {exc}")
+                continue
+        if rc != entry.cost and not _path_can_cost(graph, hops, entry.cost, rc):
             v.append(
                 f"CostMismatch: entry {i} stores {entry.cost}, path recomputes to {rc}"
             )

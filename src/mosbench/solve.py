@@ -188,7 +188,7 @@ def _search_bi(
 
     # Above the second cost of every simple path, which includes every
     # Pareto-optimal one.
-    big = sum([c2 for _, _, (_, c2) in graph.edges]) + 1
+    big = graph.cost_sums[1] + 1
     f2_bits = (big + max(h2)).bit_length() + 1
     v_bits = n.bit_length() + 1
     p_bits = _ID_BITS
@@ -331,7 +331,7 @@ def _search_multi(
     if hcols[0][src] < 0:
         return []
 
-    sums = list(map(sum, zip(*[c for _, _, c in graph.edges]))) or [0] * d
+    sums = graph.cost_sums
     f_bits = [(sums[k] + max(hcols[k]) + 1).bit_length() + 1 for k in range(d)]
     v_bits = n.bit_length() + 1
     p_bits = _ID_BITS

@@ -86,13 +86,13 @@ def read_outcome(read, path):
         return type(exc), str(exc)
 
 
-def _relaid(draw, line: str) -> str:
-    if not line.startswith("a "):
+def _relaid(draw, line: str, keys: tuple[str, ...]) -> str:
+    if not line.startswith(keys):
         return line
     tokens = line.split(" ")
     how = draw(st.sampled_from(("same", "tabs", "spaces", "zero", "blanks")))
     if how == "tabs":
-        return "a " + "\t".join(tokens[1:])
+        return tokens[0] + " " + "\t".join(tokens[1:])
     if how == "spaces":
         return "   ".join(tokens)
     if how == "zero":
@@ -104,32 +104,35 @@ def _relaid(draw, line: str) -> str:
 
 
 @st.composite
-def arc_file_texts(draw, text: str) -> str:
-    """`text`, a canonical arc file, as written or in another layout, maybe mutated.
+def file_texts(draw, text: str, keys: tuple[str, ...] = ("a ",), count_key: str = "p ") -> str:
+    """`text`, a canonical file, as written or in another layout, maybe mutated.
 
-    Other layouts put tabs, runs of spaces or a leading zero into arc lines,
-    blanks around them and blank or `c` lines between them, end lines in
-    CRLF, or drop the final newline.  A mutation deletes, inserts or
-    replaces one character, or moves the declared arc count by one.
+    Other layouts put tabs, runs of spaces or a leading zero into the lines
+    that start with one of `keys` (arc lines by default), blanks around them
+    and blank or `c` lines between them, end lines in CRLF, or drop the
+    final newline.  A mutation deletes, inserts or replaces one character,
+    or moves a declared count by one: the fourth field of a line that
+    starts with `count_key` (the problem line's arc count by default).
     """
     lines = text.splitlines()
     if draw(st.booleans()):
         out = []
         for line in lines:
-            out.append(_relaid(draw, line))
+            out.append(_relaid(draw, line, keys))
             out += draw(st.lists(st.sampled_from(("", "  ", "c note")), max_size=1))
         end = draw(st.sampled_from(("\n", "\r\n")))
         text = end.join(out) + draw(st.sampled_from((end, "")))
     how = draw(st.sampled_from(("none", "none", "delete", "insert", "replace", "count")))
-    if how == "count":
-        i = next(i for i, line in enumerate(lines) if line.startswith("p "))
+    counted = [i for i, line in enumerate(lines) if line.startswith(count_key)]
+    if how == "count" and counted:
+        i = draw(st.sampled_from(counted))
         tokens = lines[i].split(" ")
         tokens[3] = str(int(tokens[3]) + draw(st.sampled_from((-1, 1))))
         lines[i] = " ".join(tokens)
         return "\n".join(lines) + "\n"
-    if how != "none" and text:
+    if how not in ("none", "count") and text:
         i = draw(st.integers(0, len(text) - 1))
-        c = draw(st.sampled_from(" \t\r\n0123456789-+acx"))
+        c = draw(st.sampled_from(" \t\r\n0123456789-+acxr:,./"))
         keep = i + (how != "insert")
         text = text[:i] + ("" if how == "delete" else c) + text[keep:]
     return text

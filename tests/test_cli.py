@@ -374,6 +374,32 @@ class TestVerify:
         assert bad == EXIT_VERIFICATION
         assert "uncovered exact cost" in capsys.readouterr().out
 
+    def test_coverage_pairs_eps0_exact_with_approx_at_eps(self, tmp_path, capsys):
+        # One file, four blocks per query: the exact side is its eps=0 block
+        # and the approximate side the block at --eps, not the last one.
+        run_main(
+            [
+                "generate", "grid", "--k", 20, "--m", 20, "--seed", 0,
+                "--out-graph", tmp_path / "g.gr", "--out-queries", tmp_path / "q.txt",
+            ]
+        )
+        run_main(
+            [
+                "solve", "--graph", tmp_path / "g.gr", "--queries", tmp_path / "q.txt",
+                "--eps", "0,0.01,0.05,0.1",
+                "--out-solutions", tmp_path / "s.sol", "--out-records", tmp_path / "r.csv",
+            ]
+        )
+        capsys.readouterr()
+        sol = tmp_path / "s.sol"
+        assert run_main(["verify", "--exact", sol, "--approx", sol, "--eps", "0.05"]) == EXIT_OK
+        assert capsys.readouterr().out == "coverage at eps=0.05: 1 pairs, 0 failures\n"
+        code = run_main(["verify", "--exact", sol, "--approx", sol, "--eps", "0.2"])
+        assert code == EXIT_VERIFICATION
+        assert capsys.readouterr().out == (
+            "query 0: no matching approximate set\ncoverage at eps=0.2: 0 pairs, 1 failures\n"
+        )
+
     def test_solver_output_satisfies_coverage(self, tmp_path):
         solve_small(tmp_path, eps="0")
         (tmp_path / "s.sol").rename(tmp_path / "e.sol")

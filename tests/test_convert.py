@@ -40,7 +40,7 @@ from mosbench.errors import (
     RootOutOfRange,
 )
 
-from conftest import arc_file_texts, read_outcome
+from conftest import file_texts, read_outcome
 
 
 def write(tmp_path, name, text):
@@ -227,8 +227,8 @@ class TestDimacsBulkArcBlock:
         dist, time = data.draw(dimacs_texts())
         work = tmp_path_factory.mktemp("gr")
         d, t = work / "d.gr", work / "t.gr"
-        d.write_bytes(data.draw(arc_file_texts(dist)).encode())
-        t.write_bytes(data.draw(arc_file_texts(time)).encode())
+        d.write_bytes(data.draw(file_texts(dist)).encode())
+        t.write_bytes(data.draw(file_texts(time)).encode())
         assert read_outcome(convert._parse_gr, d) == read_outcome(_flat_reference, d)
         merged = _gr_outcome(lambda p: parse_dimacs(p, t), d)
         assert merged == _gr_outcome(lambda p: line_by_line_parse_dimacs(p, t), d)

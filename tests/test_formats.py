@@ -31,7 +31,7 @@ from mosbench.formats import (
     write_solutions,
 )
 
-from conftest import arc_file_texts, random_graph, read_outcome
+from conftest import file_texts, random_graph, read_outcome
 
 
 class TestGraphFormat:
@@ -343,7 +343,7 @@ class TestBulkArcBlock:
         g = data.draw(writable_graphs())
         p = tmp_path_factory.mktemp("bulk") / "g.gr"
         write_graph(g, p)
-        p.write_bytes(data.draw(arc_file_texts(p.read_text())).encode())
+        p.write_bytes(data.draw(file_texts(p.read_text())).encode())
         assert _graph_outcome(read_graph, p) == _graph_outcome(line_by_line_read_graph, p)
 
     def test_canonical_block_is_read_in_bulk(self, tmp_path, monkeypatch):
@@ -534,3 +534,195 @@ class TestSolutionFormat:
         with pytest.raises(Malformed):
             read_solutions(p, [Query(1, 2, 0)])
         assert read_solutions(p)[0].query.index == 5
+
+
+_EPS_VALUE = st.sampled_from(
+    (Fraction(0), Fraction(1, 3), Fraction(1, 20), Fraction(1, 10), Fraction(7, 2))
+)
+
+
+@st.composite
+def writable_solutions(draw) -> tuple[list[SolutionSet], list[Objective] | None, bool]:
+    """Sets write_solutions accepts, its objectives argument and include_paths.
+
+    d is 1..4; blocks may be empty, entries may lack a path, and query
+    indices may repeat across blocks (one per epsilon).
+    """
+    d = draw(st.integers(1, 4))
+    cost = st.tuples(*[st.integers(0, 3) | st.integers(0, 2**70)] * d)
+    path = st.none() | st.lists(st.integers(0, 9), min_size=1, max_size=5).map(tuple)
+    entry = st.builds(SolutionEntry, cost, path)
+    block = st.builds(
+        SolutionSet,
+        st.integers(0, 2).map(lambda i: Query(0, 0, i)),
+        st.tuples(*[_EPS_VALUE] * d).map(Epsilon),
+        st.lists(entry, max_size=4).map(tuple),
+    )
+    sets = draw(st.lists(block, max_size=4))
+    objectives = draw(st.none() | st.just([Objective(f"o{k}") for k in range(d)]))
+    return sets, objectives, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(writable_solutions())
+def test_solution_write_read_write_is_byte_identical(tmp_path_factory, case):
+    sets, objectives, include_paths = case
+    p = tmp_path_factory.mktemp("rt") / "s.sol"
+    write_solutions(sets, p, objectives=objectives, include_paths=include_paths)
+    first = p.read_bytes()
+    back = read_solutions(p)
+    assert [(ss.query, ss.epsilon, len(ss.entries)) for ss in back] == [
+        (ss.query, ss.epsilon, len(ss.entries)) for ss in sets
+    ]
+    write_solutions(back, p, objectives=objectives, include_paths=include_paths)
+    assert p.read_bytes() == first
+
+
+def line_by_line_read_solutions(
+    path: str | Path, queries: list[Query] | None = None
+) -> list[SolutionSet]:
+    """read_solutions with every line through the line loop: the bulk path's reference."""
+    sets: list[SolutionSet] = []
+    pending: int = 0
+    query: Query | None = None
+    epsilon: Epsilon | None = None
+    entries: list[SolutionEntry] = []
+    d = 0
+
+    def flush(lineno: int) -> None:
+        nonlocal query, epsilon
+        if query is None:
+            return
+        if pending != 0:
+            raise Malformed(lineno, f"block for query {query.index} is {pending} entries short")
+        sets.append(SolutionSet(query, epsilon, tuple(entries)))
+        query = None
+        epsilon = None
+        entries.clear()
+
+    lineno = 0
+    for lineno, raw in enumerate(Path(path).read_text(encoding="ascii").splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        tokens = line.split()
+        if tokens[0] == "r":
+            flush(lineno)
+            if len(tokens) != 4:
+                raise Malformed(lineno, f"expected 'r index eps count', got {raw!r}")
+            qidx = _int(tokens[1], lineno, "query index")
+            try:
+                eps_values = tuple(Fraction(p) for p in tokens[2].split(","))
+            except (ValueError, ZeroDivisionError):
+                raise Malformed(lineno, f"bad epsilon list {tokens[2]!r}") from None
+            if any(v < 0 for v in eps_values):
+                raise Malformed(lineno, "negative epsilon")
+            pending = _int(tokens[3], lineno, "entry count")
+            if pending < 0:
+                raise Malformed(lineno, "negative entry count")
+            d = len(eps_values)
+            if queries is not None:
+                if not (0 <= qidx < len(queries)):
+                    raise Malformed(lineno, f"query index {qidx} outside the query set")
+                query = queries[qidx]
+            else:
+                query = Query(0, 0, qidx)
+            epsilon = Epsilon(eps_values)
+            continue
+        if tokens[0] == "x":
+            if query is None:
+                raise Malformed(lineno, "entry before any 'r' line")
+            if pending == 0:
+                raise Malformed(lineno, "more entries than the block declared")
+            body = tokens[1:]
+            path_part: tuple[int, ...] | None = None
+            if ":" in body:
+                sep = body.index(":")
+                cost_tokens, path_tokens = body[:sep], body[sep + 1 :]
+                path_part = tuple(_int(t, lineno, "path vertex") for t in path_tokens)
+                if not path_part:
+                    raise Malformed(lineno, "empty witness path")
+            else:
+                cost_tokens = body
+            if len(cost_tokens) != d:
+                raise Malformed(lineno, f"expected {d} cost components, got {len(cost_tokens)}")
+            cost = tuple(_int(t, lineno, "cost") for t in cost_tokens)
+            if any(c < 0 for c in cost):
+                raise Malformed(lineno, "negative cost")
+            entries.append(SolutionEntry(cost, path_part))
+            pending -= 1
+            continue
+        raise Malformed(lineno, f"unknown line keyword {tokens[0]!r}")
+    flush(lineno)
+    return sets
+
+
+class TestBulkSolutionBlocks:
+    @settings(max_examples=500, deadline=None)
+    @given(writable_solutions(), st.data())
+    def test_matches_line_by_line_reader(self, tmp_path_factory, case, data):
+        sets, objectives, include_paths = case
+        p = tmp_path_factory.mktemp("bulk") / "s.sol"
+        write_solutions(sets, p, objectives=objectives, include_paths=include_paths)
+        text = p.read_text()
+        p.write_bytes(data.draw(file_texts(text, ("r ", "x "), "r ")).encode())
+        queries = data.draw(st.none() | st.lists(st.just(Query(1, 2)), max_size=3))
+        queries = queries and [Query(1, 2, i) for i in range(len(queries))]
+        assert read_outcome(lambda f: read_solutions(f, queries), p) == read_outcome(
+            lambda f: line_by_line_read_solutions(f, queries), p
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "c only a comment\n",
+            "r 0 0,0 1\nx 12 : 3\n",
+            "r 0 0,0 1\nx 1 2 3\n",
+            "r 0 0,0 1\nx 1 2 : 3 : 4\n",
+            "r 0 0,0 1\nx 1 2 :  3\n",
+            "r 0 0,0 1\nx 1  2\n",
+            "r 0 0,0 1\nx 01 2\n",
+            "r 0 0,0 1\nx " + "9" * 5000 + " 2\n",
+            "r 0 0,0 2\nx 1 2\n",
+            "r 0 0,0 0\nx 1 2\n",
+            "r 0 0,0 1\nx 1 2",
+            "r 3 0,0 0\n",
+            "r 00 0,0 0\n",
+            "r 0 1/0,0 0\n",
+            "r 0 0..1,0 0\n",
+            "r 0 0,,0 0\n",
+            "c a\x0bx 1 2\nr 0 0,0 0\n",
+            "c a\nc b\nr 0 0,0 0\n",
+            "x 1 2\nr 0 0,0 0\n",
+        ],
+    )
+    def test_layout_edge_cases_match_line_by_line_reader(self, tmp_path, text):
+        p = tmp_path / "s.sol"
+        p.write_bytes(text.encode())
+        queries = [Query(1, 2, 0)]
+        assert read_outcome(lambda f: read_solutions(f, queries), p) == read_outcome(
+            lambda f: line_by_line_read_solutions(f, queries), p
+        )
+
+    def test_canonical_file_is_read_in_bulk(self, tmp_path, monkeypatch):
+        seen = []
+        bulk = formats._solution_blocks
+        monkeypatch.setattr(
+            formats, "_solution_blocks", lambda *a: seen.append(bulk(*a)) or seen[-1]
+        )
+        q = Query(1, 3, 0)
+        sets = [
+            SolutionSet(
+                q,
+                Epsilon((Fraction(0), Fraction(1, 3))),
+                (SolutionEntry((0, 2**70), (1, 3)), SolutionEntry((5, 1), None)),
+            ),
+            SolutionSet(q, Epsilon.zero(2), ()),
+        ]
+        p = tmp_path / "s.sol"
+        write_solutions(sets, p, objectives=(Objective("a"), Objective("b")))
+        assert read_solutions(p, [q]) == sets
+        p.write_text(p.read_text().replace("x 5 1", "x 5\t1"))
+        assert read_solutions(p, [q]) == sets
+        assert seen == [sets, None]
