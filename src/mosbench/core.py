@@ -115,7 +115,10 @@ class MosGraph:
     @cached_property
     def cost_sums(self) -> Cost:
         """Each objective summed over every edge: no simple path costs more."""
-        return tuple(map(sum, zip(*[c for _, _, c in self.edges]))) or (0,) * self.d
+        # Column sums through itemgetter: zip(*costs) would allocate an
+        # iterator per edge and set off garbage collections mid-search.
+        costs = list(map(itemgetter(2), self.edges))
+        return tuple(sum(map(itemgetter(k), costs)) for k in range(self.d))
 
     @cached_property
     def out_arcs(self) -> list[list[tuple[int, int, Cost]]]:

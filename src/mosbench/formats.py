@@ -284,11 +284,12 @@ def write_solutions(
         eps_text = ",".join(_fraction_text(v) for v in ss.epsilon.values)
         out.append(f"r {ss.query.index} {eps_text} {len(ss.entries)}")
         for entry in sorted(ss.entries, key=lambda e: e.cost):
-            cost_text = " ".join(map(str, entry.cost))
+            fields = tuple(entry.cost)
+            line = "x" + " %s" * len(fields)
             if include_paths and entry.path is not None:
-                out.append(f"x {cost_text} : " + " ".join(map(str, entry.path)))
-            else:
-                out.append(f"x {cost_text}")
+                fields += tuple(entry.path)
+                line += " :" + " %s" * len(entry.path)
+            out.append(line % fields)
     Path(path).write_text("\n".join(out) + ("\n" if out else ""), encoding="ascii")
 
 
