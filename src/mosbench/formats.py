@@ -297,9 +297,10 @@ def write_solutions(
 # but an optional comment line and then an `r` line or the end; after that, a
 # newline that does not start an `r idx eps count` or `x ...` line or end the
 # text.  The `x` pattern admits runs of spaces; json.loads rejects the empty
-# fields they leave.
-_SOL_HEAD = re.compile(r"(?:c[ -~]*\n)?(?:r [0-9]+ [0-9./,]+ [0-9]+\n|\Z)")
-_SOL_STRAY = re.compile(r"\n(?!r [0-9]+ [0-9./,]+ [0-9]+\n|x [0-9 ]+(?: : [0-9 ]+)?\n|\Z)")
+# fields they leave.  They are compiled on first use (re's cache), not at
+# import.
+_SOL_HEAD = r"(?:c[ -~]*\n)?(?:r [0-9]+ [0-9./,]+ [0-9]+\n|\Z)"
+_SOL_STRAY = r"\n(?!r [0-9]+ [0-9./,]+ [0-9]+\n|x [0-9 ]+(?: : [0-9 ]+)?\n|\Z)"
 
 
 def _solution_blocks(text: str, queries: Sequence[Query] | None) -> list[SolutionSet] | None:
@@ -313,7 +314,7 @@ def _solution_blocks(text: str, queries: Sequence[Query] | None) -> list[Solutio
     (any other layout, or a block the line loop would reject) sends the
     caller to its line loop, which reports every error with its line.
     """
-    if not _SOL_HEAD.match(text) or _SOL_STRAY.search(text):
+    if not re.match(_SOL_HEAD, text) or re.search(_SOL_STRAY, text):
         return None
     start = text.find("\n") + 1 if text[:1] == "c" else 0
     sets: list[SolutionSet] = []

@@ -15,7 +15,7 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le, sub
+from operator import add, itemgetter, le, sub
 from pathlib import Path
 from time import monotonic
 from typing import Callable, Sequence
@@ -263,6 +263,9 @@ def verify_solutions(
                 v.append(f"DominanceViolation: entry {i} is dominated by entry {j}")
                 break
     min_cost = graph._min_edge_cost.get
+    # Column sums through itemgetter: zip(*arcs) would allocate an iterator
+    # per hop, and the collections they set off cost more than the sums.
+    columns = [itemgetter(k) for k in range(d)]
     for i, entry in enumerate(solset.entries):
         if entry.path is None:
             continue
@@ -276,7 +279,7 @@ def verify_solutions(
         hops = list(zip(p, p[1:]))
         arcs = list(map(min_cost, hops))
         if arcs and None not in arcs:
-            rc = tuple(map(sum, zip(*arcs)))
+            rc = tuple([sum(map(column, arcs)) for column in columns])
         else:  # path_cost names the missing arc or bad vertex, or costs one vertex
             try:
                 rc = path_cost(graph, p)
