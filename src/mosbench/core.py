@@ -8,12 +8,14 @@ exact and independent of float rounding.
 """
 from __future__ import annotations
 
+import gc
 import statistics
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter, sub
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DegenerateInput,
@@ -25,6 +27,25 @@ from .errors import (
 )
 
 Cost = tuple[int, ...]
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Switch the cyclic garbage collector off while acyclic bulk data is built.
+
+    Edge tuples, cost tuples and lists of them cannot form reference cycles,
+    yet every 700 new containers set off a collection that walks the young
+    ones again.  The collector is switched back on at exit only if it was on
+    at entry, so nested pauses and callers that turned it off keep their
+    state.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclass(frozen=True)
@@ -135,16 +156,11 @@ class MosGraph:
         # order within a row is the searches' tie order and fixes their
         # witness paths.  Index 0 is an empty row.  The name is the one
         # perfbench/pipeline.py traces as the core.csr span.
-        rows: list[list[tuple[int, int, Cost]]] = [[] for _ in range(self.num_vertices + 1)]
-        for v, e in zip(map(itemgetter(0 if forward else 1), self.edges), self.edges):
-            rows[v].append(e)
+        with collector_paused():
+            rows: list[list[tuple[int, int, Cost]]] = [[] for _ in range(self.num_vertices + 1)]
+            for v, e in zip(map(itemgetter(0 if forward else 1), self.edges), self.edges):
+                rows[v].append(e)
         return rows
-
-    def out_degree(self, v: int) -> int:
-        return len(self.out_arcs[v])
-
-    def in_degree(self, v: int) -> int:
-        return len(self.in_arcs[v])
 
 
 @dataclass(frozen=True, order=True)

@@ -46,6 +46,7 @@ from .core import (
     SolutionEntry,
     SolutionSet,
     _fraction_text,
+    collector_paused,
 )
 from .errors import Malformed
 
@@ -209,17 +210,18 @@ def read_graph(path: str | Path) -> MosGraph:
     # bulk if it is canonical (see _arc_fields) and line by line otherwise.
     text = Path(path).read_text(encoding="ascii")
     start = text.find("\na ") + 1
-    scan(text[: start or len(text)].splitlines())
-    if start:
-        fields = None
-        if num_edges >= 0 and not edges:
-            fields = _arc_fields(text, start, d, num_vertices, num_edges)
-        if fields is None:
-            scan(text[start:].splitlines())
-        else:
-            it = iter(fields)
-            edges = list(zip(it, it, zip(*[it] * d)))
-            lineno += num_edges
+    with collector_paused():
+        scan(text[: start or len(text)].splitlines())
+        if start:
+            fields = None
+            if num_edges >= 0 and not edges:
+                fields = _arc_fields(text, start, d, num_vertices, num_edges)
+            if fields is None:
+                scan(text[start:].splitlines())
+            else:
+                it = iter(fields)
+                edges = list(zip(it, it, zip(*[it] * d)))
+                lineno += num_edges
     if num_edges < 0:
         raise Malformed(lineno, "missing problem line")
     if len(edges) != num_edges:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .core import MosGraph, Objective, Query
+from .core import MosGraph, Objective, Query, collector_paused
 from .errors import EmptyGraph, ExhaustedPairs, WindowTooSmall
 from .rng import TAG_COSTS, TAG_QUERIES, TAG_STRUCTURE, substream
 
@@ -75,33 +75,23 @@ def generate_grid(spec: GridSpec) -> tuple[MosGraph, Query]:
     draws of uniform_int(cost_low, cost_high) from the TAG_COSTS substream.
     """
     k, m, d = spec.k, spec.m, spec.d
-    rng = substream(spec.seed, TAG_COSTS)
     lo, hi = spec.cost_low, spec.cost_high
-
-    def vid(x: int, y: int) -> int:
-        return (y - 1) * k + x
-
-    arcs: list[tuple[int, int]] = []
-    for y in range(1, m + 1):
-        for x in range(1, k + 1):
-            v = vid(x, y)
-            if x < k:
-                r = vid(x + 1, y)
-                arcs += ((v, r), (r, v))
-            if y < m:
-                b = vid(x, y + 1)
-                arcs += ((v, b), (b, v))
-    # d consecutive draws per arc, in arc order: uniform_int(lo, hi) inline.
-    bounded, span = rng.bounded, hi - lo + 1
-    draws = iter([lo + bounded(span) for _ in range(len(arcs) * d)])
-    edges = [(u, v, cost) for (u, v), cost in zip(arcs, zip(*[draws] * d))]
+    with collector_paused():
+        arcs: list[tuple[int, int]] = []
+        for v in range(1, k * m + 1):  # row-major cell order
+            if v % k:  # not in the rightmost column
+                arcs += ((v, v + 1), (v + 1, v))
+            if v <= k * (m - 1):  # not in the bottom row
+                arcs += ((v, v + k), (v + k, v))
+        # d consecutive draws of uniform_int(lo, hi) per arc, in arc order
+        draws = substream(spec.seed, TAG_COSTS).bounded_run(hi - lo + 1, len(arcs) * d)
+        costs = map(lo.__add__, draws)
+        edges = [(u, v, cost) for (u, v), cost in zip(arcs, zip(*[costs] * d))]
     source = k * m + 1
     target = k * m + 2
     zero = (0,) * d
-    for y in range(1, m + 1):
-        edges.append((source, vid(1, y), zero))
-    for y in range(1, m + 1):
-        edges.append((vid(k, y), target, zero))
+    edges += [(source, y * k + 1, zero) for y in range(m)]
+    edges += [((y + 1) * k, target, zero) for y in range(m)]
 
     graph = MosGraph(
         num_vertices=k * m + 2,
@@ -179,9 +169,8 @@ def generate_netmaker(spec: NetMakerSpec) -> MosGraph:
         cost = tuple(costs.uniform_int(*CYCLE_BANDS[order[i]]) for i in range(3))
         edges.append((u, w, cost))
     lo, hi = LOCAL_RANGE
-    for u, w in local:
-        cost = tuple(costs.uniform_int(lo, hi) for _ in range(3))
-        edges.append((u, w, cost))
+    draws = map(lo.__add__, costs.bounded_run(hi - lo + 1, 3 * len(local)))
+    edges += [(u, w, cost) for (u, w), cost in zip(local, zip(draws, draws, draws))]
 
     return MosGraph(
         num_vertices=n,

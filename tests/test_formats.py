@@ -1,6 +1,7 @@
 """Text format round-trips and malformed-input diagnostics."""
 from __future__ import annotations
 
+import gc
 import random
 import string
 from fractions import Fraction
@@ -123,6 +124,23 @@ class TestGraphFormat:
             read_graph(p)
         assert err.value.reason == message
         assert err.value.line_number == line
+
+    def test_collector_state_survives_a_malformed_file(self, tmp_path):
+        # The bulk read pauses the cyclic collector; a raise mid-read must
+        # not leave it off, nor switch it on for a caller that turned it off.
+        p = tmp_path / "bad.gr"
+        p.write_text("p mosp 2 1 1\na 1 2 oops\n")
+        assert gc.isenabled()
+        with pytest.raises(Malformed):
+            read_graph(p)
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            with pytest.raises(Malformed):
+                read_graph(p)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
     def test_malformed_reports_line_number(self, tmp_path):
         p = tmp_path / "bad.gr"

@@ -48,11 +48,14 @@ class TestGrid:
             assert q.source == k * m + 1
             assert q.target == k * m + 2
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_known_answer(self, d):
+    @pytest.mark.parametrize(
+        "d, k, m", [(2, 4, 3), (3, 4, 3), (4, 4, 3), (3, 24, 24)], ids=["2", "3", "4", "3-24x24"]
+    )
+    def test_known_answer(self, d, k, m):
         # hand-built expectation: interior pairs in row-major cell order, the
-        # right pair then the down pair, forward first; d draws per edge
-        k, m, seed = 4, 3, 17 + d
+        # right pair then the down pair, forward first; d draws per edge.
+        # The 24x24 grid takes 6,624 draws, more than one bounded_run chunk.
+        seed = 17 + d
         rng = substream(seed, TAG_COSTS)
         expected = []
         for y in range(1, m + 1):
@@ -234,7 +237,7 @@ class TestNetMaker:
         spec = NetMakerSpec(n=200, i_vertex=30, a_min=2, a_max=6, seed=10)
         g = generate_netmaker(spec)
         for v in range(1, 201):
-            assert 1 <= g.out_degree(v) <= spec.a_max
+            assert 1 <= len(g.out_arcs[v]) <= spec.a_max
 
     def test_locality_window_respected(self):
         spec = NetMakerSpec(n=300, i_vertex=20, seed=11)

@@ -2,8 +2,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mosbench.rng import (
+    _CHUNK,
+    _GAMMA,
+    _MASK,
     TAG_COSTS,
     TAG_QUERIES,
     TAG_STRUCTURE,
@@ -39,10 +44,15 @@ def test_bounded_range_and_determinism():
     assert values == [r2.bounded(10) for _ in range(1000)]
 
 
-def test_bounded_rejects_nonpositive():
+@pytest.mark.parametrize("n", [0, -1, 2**64 + 1, 2**70])
+def test_bounded_rejects_bounds_outside_1_to_2_pow_64(n):
+    # above 2**64 every low word is below 2**64 mod n: the loop never ends
     r = SplitMix64(1)
     with pytest.raises(ValueError):
-        r.bounded(0)
+        r.bounded(n)
+    with pytest.raises(ValueError):
+        r.bounded_run(n, 3)
+    assert r._state == 1
 
 
 def test_uniform_int_inclusive_endpoints():
@@ -122,3 +132,50 @@ def test_bounded_rejection_path_is_taken():
         raw.next_u64()
         used += 1
     assert used > 150
+
+
+def _sequential(seed: int, n: int, count: int) -> tuple[list[int], int]:
+    r = SplitMix64(seed)
+    return [r.bounded(n) for _ in range(count)], r._state
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, _MASK),
+    n=st.one_of(st.sampled_from([1, 10, 99, 2**63 + 1, 2**64 - 1, 2**64]), st.integers(1, 2**64)),
+    count=st.sampled_from([0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7]),
+)
+def test_bounded_run_equals_sequential_draws(seed, n, count):
+    r = SplitMix64(seed)
+    assert (r.bounded_run(n, count), r._state) == _sequential(seed, n, count)
+
+
+def _unmix(z: int) -> int:
+    """The state whose splitmix64 output is z: the finalizer run backwards."""
+
+    def unxorshift(z: int, k: int) -> int:
+        x = z
+        for _ in range(64 // k):
+            x = z ^ (x >> k)
+        return x
+
+    z = unxorshift(z, 31)
+    z = z * pow(0x94D049BB133111EB, -1, 1 << 64) & _MASK
+    z = unxorshift(z, 27)
+    z = z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & _MASK
+    return unxorshift(z, 30)
+
+
+def test_bounded_run_redraws_a_chunk_with_a_rejection():
+    n = 10
+    # 10 * z has low word 2, below 2**64 mod 10 = 6: bounded rejects z
+    z = (3 * 2**64 + 2) // 10
+    assert (z * n) & _MASK < (1 << 64) % n
+    assert SplitMix64((_unmix(z) - _GAMMA) & _MASK).next_u64() == z
+    seed = (_unmix(z) - 6 * _GAMMA) & _MASK  # the sixth draw of the run, lane 5, is z
+    for count in (6, _CHUNK, _CHUNK + 5):
+        r = SplitMix64(seed)
+        got = r.bounded_run(n, count)
+        assert (got, r._state) == _sequential(seed, n, count)
+        # the rejection consumed one extra raw output
+        assert r._state == (seed + (count + 1) * _GAMMA) & _MASK
