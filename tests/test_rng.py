@@ -44,9 +44,15 @@ def test_bounded_range_and_determinism():
     assert values == [r2.bounded(10) for _ in range(1000)]
 
 
+def test_bounded_rejects_nonpositive():
+    r = SplitMix64(1)
+    with pytest.raises(ValueError):
+        r.bounded(0)
+
+
 @pytest.mark.parametrize("n", [0, -1, 2**64 + 1, 2**70])
-def test_bounded_rejects_bounds_outside_1_to_2_pow_64(n):
-    # above 2**64 every low word is below 2**64 mod n: the loop never ends
+def test_bounds_outside_1_to_2_pow_64_are_rejected(n):
+    # above 2**64 every low word is below 2**64 mod n: the loop never ended
     r = SplitMix64(1)
     with pytest.raises(ValueError):
         r.bounded(n)
