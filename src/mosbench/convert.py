@@ -545,8 +545,6 @@ def panda_apply_clearance(
         raise ValueError(f"mode must be 'bi' or 'many', got {mode!r}")
     edges: list[tuple[int, int, Cost]] = []
     for u, v, jd, cls in roadmap.edges:
-        if any(d <= 0 for d in cls):
-            raise NonPositiveClearance(f"edge ({u}, {v}) has a clearance <= 0")
         if mode == "bi":
             cost: Cost = (
                 _fixed(jd),

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter, sub
+from operator import itemgetter, le, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -58,10 +58,6 @@ class Objective:
     def __post_init__(self) -> None:
         if self.scale < 1:
             raise ValueError(f"objective {self.name!r}: scale must be >= 1")
-
-
-def _default_objectives(d: int) -> tuple[Objective, ...]:
-    return tuple(Objective(f"c{i + 1}") for i in range(d))
 
 
 @dataclass(frozen=True, eq=True)
@@ -374,12 +370,7 @@ def pareto_filter(costs: Iterable[Cost]) -> list[Cost]:
                 low = c[1]
         return front
     for c in pool:
-        dominated = False
-        for k in front:
-            if all(a <= b for a, b in zip(k, c)):
-                dominated = True
-                break
-        if not dominated:
+        if not any(all(map(le, k, c)) for k in front):
             front.append(c)
     return front
 

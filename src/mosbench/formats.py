@@ -69,10 +69,6 @@ def _ints(tokens: Sequence[str], lineno: int, what: str) -> tuple[int, ...]:
         raise
 
 
-def _lines(path: str | Path) -> list[str]:
-    return Path(path).read_text(encoding="ascii").splitlines()
-
-
 def _arc_fields(
     text: str, start: int, d: int, num_vertices: int, num_arcs: int
 ) -> list[int] | None:
@@ -252,7 +248,7 @@ def read_queries(path: str | Path, *, num_vertices: int | None = None) -> list[Q
     With `num_vertices`, an endpoint beyond it is reported on its line.
     """
     out: list[Query] = []
-    for lineno, raw in enumerate(_lines(path), start=1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="ascii").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue

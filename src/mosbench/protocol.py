@@ -37,6 +37,7 @@ from .core import (
 from .errors import (
     AllExcluded,
     DimensionMismatch,
+    Malformed,
     MissingBaseline,
     NoRecords,
     NonEdge,
@@ -55,6 +56,7 @@ RECORDS_HEADER = ("benchmark", "query", "epsilon", "cardinality", "ms", "solver"
 STATUS_SOLVED = "solved"
 STATUS_EMPTY = "empty"
 STATUS_TIMEOUT = "timeout"
+_STATUSES = (STATUS_SOLVED, STATUS_EMPTY, STATUS_TIMEOUT)
 
 
 @dataclass(frozen=True)
@@ -118,8 +120,9 @@ def run_benchmark(
         grid = EpsilonGrid()
     eps_list = grid.epsilons(graph.d) if isinstance(grid, EpsilonGrid) else list(grid)
     name = benchmark_name or graph.metadata.get("family", "graph")
+    # The heuristics build in_arcs; out_arcs is built here so that the
+    # first query's ms does not count building the graph's rows.
     graph.out_arcs
-    graph.in_arcs
     heuristics: dict[int, HeuristicTable] = {}
     for q in queries:
         if q.target not in heuristics:
@@ -386,19 +389,15 @@ def reduction_stats(records: Sequence[BenchmarkRecord]) -> list[ReductionStats]:
     for r in records:
         if r.epsilon == zero_text and r.status != STATUS_TIMEOUT:
             baseline[(r.benchmark, r.query_index)] = r.cardinality
-    eps_order: list[str] = []
     per_eps: dict[str, list[BenchmarkRecord]] = {}
     for r in records:
-        if r.epsilon not in per_eps:
-            per_eps[r.epsilon] = []
-            eps_order.append(r.epsilon)
-        per_eps[r.epsilon].append(r)
+        per_eps.setdefault(r.epsilon, []).append(r)
     out: list[ReductionStats] = []
-    for eps_text in eps_order:
+    for eps_text, rows in per_eps.items():
         reductions: list[float] = []
         by_family: dict[str, list[float]] = {}
         excluded = 0
-        for r in per_eps[eps_text]:
+        for r in rows:
             if r.status == STATUS_TIMEOUT:
                 continue
             key = (r.benchmark, r.query_index)
@@ -447,17 +446,17 @@ def spread_stats(sets: Sequence[SolutionSet]) -> list[AxisSpread]:
 
     Empty fronts are excluded everywhere; a query whose front minimum is 0
     on an axis is excluded from that axis only.  An axis with no included
-    queries raises AllExcluded.
+    queries raises AllExcluded; costs of different widths raise
+    DimensionMismatch.
     """
     if not sets:
         raise AllExcluded("no solution sets given")
-    d = 0
-    for ss in sets:
-        if ss.entries:
-            d = len(ss.entries[0].cost)
-            break
-    if d == 0:
+    widths = {len(e.cost) for ss in sets for e in ss.entries}
+    if not widths:
         raise AllExcluded("every solution set is empty")
+    if len(widths) > 1:
+        raise DimensionMismatch(f"cost vectors of widths {sorted(widths)}")
+    (d,) = widths
     out: list[AxisSpread] = []
     for k in range(d):
         ratios: list[float] = []
@@ -515,7 +514,12 @@ def records_to_csv(records: Sequence[BenchmarkRecord]) -> str:
 
 
 def read_records(path: str | Path) -> list[BenchmarkRecord]:
-    """Parse a records CSV written by records_to_csv."""
+    """Parse a records CSV written by records_to_csv.
+
+    A row with the wrong field count, a query index or cardinality that is
+    not a non-negative integer, an ms that is not a finite non-negative
+    number, or an unknown status raises Malformed with its line number.
+    """
     out: list[BenchmarkRecord] = []
     with open(path, newline="", encoding="ascii") as fh:
         reader = csv.reader(fh)
@@ -523,12 +527,28 @@ def read_records(path: str | Path) -> list[BenchmarkRecord]:
         if header != list(RECORDS_HEADER):
             raise NoRecords(f"unrecognized records header {header!r}")
         for row in reader:
-            if len(row) != 7:
-                raise NoRecords(f"bad records row {row!r}")
+            line = reader.line_num
+            if len(row) != len(RECORDS_HEADER):
+                raise Malformed(line, f"expected {len(RECORDS_HEADER)} fields, got {len(row)}")
+            bench, query, eps_text, card, ms, solver, status = row
+            try:
+                query_index, cardinality = int(query), int(card)
+            except ValueError:
+                raise Malformed(
+                    line, f"query {query!r} or cardinality {card!r} is not an integer"
+                ) from None
+            try:
+                ms_value = float(ms)
+            except ValueError:
+                raise Malformed(line, f"ms {ms!r} is not a number") from None
+            if query_index < 0 or cardinality < 0:
+                raise Malformed(line, "negative query index or cardinality")
+            if not 0 <= ms_value < math.inf:
+                raise Malformed(line, f"ms {ms!r} is not a finite non-negative number")
+            if status not in _STATUSES:
+                raise Malformed(line, f"unknown status {status!r}")
             out.append(
-                BenchmarkRecord(
-                    row[0], int(row[1]), row[2], int(row[3]), float(row[4]), row[5], row[6]
-                )
+                BenchmarkRecord(bench, query_index, eps_text, cardinality, ms_value, solver, status)
             )
     return out
 
@@ -582,10 +602,13 @@ def reduction_csv(stats: Sequence[ReductionStats]) -> str:
 
 
 def spread_csv(spreads: Sequence[AxisSpread], names: Sequence[str] | None = None) -> str:
+    """One row per axis, labelled by names (one per axis) or by 1-based index."""
+    if names is not None and len(names) != len(spreads):
+        raise DimensionMismatch(f"{len(names)} objective names for {len(spreads)} cost axes")
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["objective", "average_spread", "included", "excluded"])
     for s in spreads:
-        label = names[s.objective] if names else str(s.objective + 1)
+        label = str(s.objective + 1) if names is None else names[s.objective]
         w.writerow([label, f"{s.average:.6f}", s.included, s.excluded])
     return buf.getvalue()

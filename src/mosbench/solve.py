@@ -28,6 +28,7 @@ import heapq
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import ge, le
 from time import monotonic
 
 from .core import Cost, Epsilon, MosGraph, Query, SolutionEntry, SolutionSet
@@ -92,10 +93,6 @@ class HeuristicTable:
 
     target: int
     columns: tuple[tuple[int, ...], ...]
-
-    def bound(self, v: int) -> Cost | None:
-        b = tuple(col[v] for col in self.columns)
-        return None if b[0] < 0 else b
 
 
 def ideal_point_heuristic(graph: MosGraph, target: int) -> HeuristicTable:
@@ -259,63 +256,6 @@ def _search_bi(
     return _materialize(sols, tgt, closed_v, closed_p)
 
 
-class _SuffixStore:
-    """Per-vertex non-dominated (d-1)-suffix sets for the general search.
-
-    d=3 keeps two parallel lists per vertex (g2 ascending, g3 strictly
-    descending) so checks and inserts are binary searches; other d fall
-    back to a linear scan over stored suffix tuples.
-    """
-
-    __slots__ = ("dim", "a", "b", "flat")
-
-    def __init__(self, n: int, suffix_dim: int):
-        self.dim = suffix_dim
-        if suffix_dim == 2:
-            self.a: list[list[int] | None] = [None] * (n + 1)
-            self.b: list[list[int] | None] = [None] * (n + 1)
-        else:
-            self.flat: list[list[tuple[int, ...]] | None] = [None] * (n + 1)
-
-    def dominated(self, v: int, suffix: tuple[int, ...]) -> bool:
-        if self.dim == 2:
-            a = self.a[v]
-            if a is None:
-                return False
-            i = bisect_right(a, suffix[0]) - 1
-            return i >= 0 and self.b[v][i] <= suffix[1]
-        pool = self.flat[v]
-        if pool is None:
-            return False
-        return any(all(x <= y for x, y in zip(p, suffix)) for p in pool)
-
-    def insert(self, v: int, suffix: tuple[int, ...]) -> None:
-        # Caller guarantees the suffix is not dominated at v.
-        if self.dim == 2:
-            a = self.a[v]
-            if a is None:
-                a = self.a[v] = []
-                self.b[v] = []
-            b = self.b[v]
-            g2, g3 = suffix
-            pos = bisect_left(a, g2)
-            j = pos
-            while j < len(a) and b[j] >= g3:
-                j += 1
-            if j > pos:
-                del a[pos:j]
-                del b[pos:j]
-            a.insert(pos, g2)
-            b.insert(pos, g3)
-            return
-        pool = self.flat[v]
-        if pool is None:
-            self.flat[v] = [suffix]
-            return
-        pool[:] = [p for p in pool if not all(x >= y for x, y in zip(p, suffix))]
-        pool.append(suffix)
-
-
 def _search_multi(
     graph: MosGraph,
     query: Query,
@@ -353,7 +293,45 @@ def _search_multi(
         f[0] = rest
         return f
 
-    store = _SuffixStore(n, d - 1)
+    # Closed (d-1)-suffixes per vertex (the target's are the found costs),
+    # None until the first insert.  d=3 keeps g2 ascending and g3 strictly
+    # descending, so a check is one bisect; other d scan a pool at C level.
+    if d == 3:
+        g2s: list[list[int] | None] = [None] * (n + 1)
+        g3s: list[list[int] | None] = [None] * (n + 1)
+
+        def dominated(v: int, s: tuple[int, ...]) -> bool:
+            a = g2s[v]
+            if a is None:
+                return False
+            i = bisect_right(a, s[0])
+            return i > 0 and g3s[v][i - 1] <= s[1]
+
+        def insert(v: int, s: tuple[int, ...]) -> None:
+            # s is not dominated at v; it replaces the run it dominates.
+            a = g2s[v]
+            if a is None:
+                a = g2s[v] = []
+                g3s[v] = []
+            b = g3s[v]
+            pos = j = bisect_left(a, s[0])
+            while j < len(b) and b[j] >= s[1]:
+                j += 1
+            a[pos:j] = (s[0],)
+            b[pos:j] = (s[1],)
+
+    else:
+        pools: list[list[tuple[int, ...]] | None] = [None] * (n + 1)
+
+        def dominated(v: int, s: tuple[int, ...]) -> bool:
+            pool = pools[v]
+            return pool is not None and any(all(map(le, p, s)) for p in pool)
+
+        def insert(v: int, s: tuple[int, ...]) -> None:
+            keep = [p for p in pools[v] or () if not all(map(ge, p, s))]
+            keep.append(s)
+            pools[v] = keep
+
     closed_v = array("q", [0])
     closed_p = array("q", [0])
     sols: list[tuple[Cost, int]] = []
@@ -375,14 +353,14 @@ def _search_multi(
         g = [f[k] - hcols[k][v] for k in range(d)]
         gsuf = tuple(g[1:])
         if v == tgt:
-            if store.dominated(tgt, gsuf):
+            if dominated(tgt, gsuf):
                 continue
-            store.insert(tgt, gsuf)
+            insert(tgt, gsuf)
             sols.append((tuple(g), pid))
             continue
-        if store.dominated(v, gsuf) or store.dominated(tgt, tuple(f[1:])):
+        if dominated(v, gsuf) or dominated(tgt, tuple(f[1:])):
             continue
-        store.insert(v, gsuf)
+        insert(v, gsuf)
         cid = len(closed_v)
         closed_v.append(v)
         closed_p.append(pid)
@@ -390,10 +368,10 @@ def _search_multi(
             if hcols[0][w] < 0:
                 continue
             ng = [g[k] + cost[k] for k in range(d)]
-            if store.dominated(w, tuple(ng[1:])):
+            if dominated(w, tuple(ng[1:])):
                 continue
             nf = [ng[k] + hcols[k][w] for k in range(d)]
-            if store.dominated(tgt, tuple(nf[1:])):
+            if dominated(tgt, tuple(nf[1:])):
                 continue
             k = pack(nf, w, cid)
             if not held:

@@ -12,7 +12,7 @@ import pytest
 
 import mosbench
 from mosbench.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
-from mosbench.core import Epsilon, Query, SolutionEntry, SolutionSet
+from mosbench.core import Epsilon, MosGraph, Objective, Query, SolutionEntry, SolutionSet
 from mosbench.formats import (
     read_graph,
     read_solutions,
@@ -502,6 +502,51 @@ class TestStats:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "objective,average_spread,included,excluded"
         assert out.splitlines()[1].startswith("c1,")
+
+    @pytest.mark.parametrize("report", ["cardinality", "reduction"])
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "grid,x,0,5,1.0,labelset-dr,solved",
+            "grid,0,0,-3,1.0,labelset-dr,solved",
+            "grid,0,0,5,1.0,labelset-dr,bogus",
+            "grid,0,0",
+        ],
+    )
+    def test_bad_records_row_exits_usage_with_its_line(self, tmp_path, capsys, report, row):
+        solve_small(tmp_path)
+        with open(tmp_path / "r.csv", "a", encoding="ascii") as fh:
+            fh.write(row + "\n")
+        capsys.readouterr()
+        argv = ["stats", report, "--records", tmp_path / "r.csv"]
+        assert run_main(argv + (["--eps", "0"] if report == "cardinality" else [])) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 6: ")
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_spread_graph_of_other_dimension_exits_usage(self, tmp_path, capsys, d):
+        solve_small(tmp_path)
+        objectives = tuple(Objective(f"o{k}") for k in range(d))
+        write_graph(MosGraph(2, ((1, 2, (1,) * d),), objectives), tmp_path / "other.gr")
+        capsys.readouterr()
+        code = run_main(
+            ["stats", "spread", "--solutions", tmp_path / "s.sol", "--graph", tmp_path / "other.gr"]
+        )
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {d} objective names for 2 cost axes\n"
+
+    def test_spread_mixed_widths_exits_usage(self, tmp_path, capsys):
+        sets = [
+            SolutionSet(Query(1, 2, 0), Epsilon.zero(2), (SolutionEntry((1, 2), None),)),
+            SolutionSet(Query(1, 2, 1), Epsilon.zero(3), (SolutionEntry((1, 2, 3), None),)),
+        ]
+        write_solutions(sets, tmp_path / "s.sol")
+        code = run_main(["stats", "spread", "--solutions", tmp_path / "s.sol"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: cost vectors of widths [2, 3]\n"
 
     def test_correlation(self, tmp_path, capsys):
         run_main(

@@ -24,6 +24,7 @@ from mosbench.core import (
 from mosbench.errors import (
     AllExcluded,
     DimensionMismatch,
+    Malformed,
     MissingBaseline,
     NoRecords,
     QueryMismatch,
@@ -535,6 +536,12 @@ class TestSpreadStats:
         with pytest.raises(AllExcluded):
             spread_stats([self.ss([(0, 1)])])
 
+    def test_mixed_widths_raise(self):
+        with pytest.raises(DimensionMismatch):
+            spread_stats([self.ss([(1, 2)]), self.ss([(1, 2, 3)], 1)])
+        with pytest.raises(DimensionMismatch):
+            spread_stats([self.ss([]), self.ss([(1, 2, 3), (3, 2)], 1)])
+
 
 class TestCorrelationCsv:
     def test_duplicated_objective(self):
@@ -591,8 +598,40 @@ class TestRecordsCsv:
     def test_short_row_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text(records_to_csv([]) + "grid,0,0\n")
-        with pytest.raises(NoRecords):
+        with pytest.raises(Malformed) as err:
             read_records(p)
+        assert err.value.line_number == 2
+
+    @pytest.mark.parametrize(
+        "row, words",
+        [
+            ("grid,0,0,5,1.0,labelset-dr,solved,extra", "got 8"),
+            ("grid,x,0,5,1.0,labelset-dr,solved", "'x'"),
+            ("grid,0,0,5.5,1.0,labelset-dr,solved", "'5.5'"),
+            ("grid,0,0,5,fast,labelset-dr,solved", "'fast'"),
+            ("grid,0,0,-3,1.0,labelset-dr,solved", "negative"),
+            ("grid,-1,0,5,1.0,labelset-dr,solved", "negative"),
+            ("grid,0,0,5,-0.5,labelset-dr,solved", "'-0.5'"),
+            ("grid,0,0,5,nan,labelset-dr,solved", "'nan'"),
+            ("grid,0,0,5,inf,labelset-dr,solved", "'inf'"),
+            ("grid,0,0,5,1.0,labelset-dr,bogus", "'bogus'"),
+        ],
+    )
+    def test_bad_row_reported_on_its_line(self, tmp_path, row, words):
+        good = records_to_csv([BenchmarkRecord("grid", 0, "0", 5, 1.0)])
+        p = tmp_path / "bad.csv"
+        p.write_text(good + good.splitlines()[1] + "\n" + row + "\n")
+        with pytest.raises(Malformed) as err:
+            read_records(p)
+        assert err.value.line_number == 4
+        assert words in err.value.reason
+
+    def test_line_numbers_count_quoted_newlines(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text(records_to_csv([BenchmarkRecord("two\nlines", 0, "0", 5, 1.0)]) + "grid,0\n")
+        with pytest.raises(Malformed) as err:
+            read_records(p)
+        assert err.value.line_number == 4
 
 
 class TestStatsCsv:
@@ -619,3 +658,6 @@ class TestStatsCsv:
         text = spread_csv(spreads, ["length", "risk"])
         assert text.splitlines()[1] == "length,2.000000,1,0"
         assert text.splitlines()[2] == "risk,4.000000,1,0"
+        for names in (["length"], ["length", "risk", "time"]):
+            with pytest.raises(DimensionMismatch):
+                spread_csv(spreads, names)
