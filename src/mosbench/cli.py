@@ -204,7 +204,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         sets = formats.read_solutions(args.solutions)
         names = None
         if args.graph:
-            names = [o.name for o in formats.read_graph(args.graph).objectives]
+            names = [o.name for o in formats.read_objectives(args.graph)]
         spreads = protocol.spread_stats(sets)
         excluded = sum(s.excluded for s in spreads)
         if excluded:

@@ -125,82 +125,104 @@ def write_graph(graph: MosGraph, path: str | Path) -> None:
     Path(path).write_text("\n".join(out) + "\n", encoding="ascii")
 
 
+class _Header:
+    """The c, p and s lines of a graph file, taken one at a time."""
+
+    def __init__(self) -> None:
+        self.num_vertices = 0
+        self.num_edges = -1
+        self.d = 0
+        self.scales: list[int] | None = None
+        self.names: list[str] | None = None
+        self.metadata: dict[str, str] = {}
+
+    def take(self, lineno: int, kind: str, rest: str, raw: str) -> None:
+        """Apply one stripped non-arc line split as `kind rest`; raw names it."""
+        if kind == "c":
+            words = rest.split()
+            if len(words) >= 2 and words[0] == "objectives":
+                self.names = words[1].split(",")
+            elif len(words) >= 2 and words[0] == "meta":
+                self.metadata[words[1]] = rest.split(None, 2)[2] if len(words) > 2 else ""
+            return
+        if kind == "p":
+            if self.num_edges >= 0:
+                raise Malformed(lineno, "duplicate problem line")
+            tokens = rest.split()
+            if len(tokens) != 4 or tokens[0] != "mosp":
+                raise Malformed(lineno, f"expected 'p mosp V E d', got {raw!r}")
+            self.num_vertices = _int(tokens[1], lineno, "vertex count")
+            self.num_edges = _int(tokens[2], lineno, "edge count")
+            self.d = _int(tokens[3], lineno, "objective count")
+            if self.num_vertices < 1:
+                raise Malformed(lineno, "vertex count must be >= 1")
+            if self.num_edges < 0:
+                raise Malformed(lineno, "edge count must be >= 0")
+            if self.d < 1:
+                raise Malformed(lineno, "objective count must be >= 1")
+            return
+        if kind == "s":
+            if self.num_edges < 0:
+                raise Malformed(lineno, "scale line before problem line")
+            if self.scales is not None:
+                raise Malformed(lineno, "duplicate scale line")
+            tokens = rest.split()
+            if len(tokens) != self.d:
+                raise Malformed(lineno, f"expected {self.d} scales, got {len(tokens)}")
+            self.scales = [_int(t, lineno, "scale") for t in tokens]
+            if any(s < 1 for s in self.scales):
+                raise Malformed(lineno, "scales must be >= 1")
+            return
+        raise Malformed(lineno, f"unknown line keyword {kind!r}")
+
+    def objectives(self, lineno: int) -> tuple[Objective, ...]:
+        """The named, scaled objectives; names default to c1..cd."""
+        d = self.d
+        names = self.names
+        if names is not None and len(names) != d:
+            raise Malformed(lineno, f"objective comment names {len(names)} of {d} objectives")
+        if names is None:
+            names = [f"c{i + 1}" for i in range(d)]
+        return tuple(Objective(n, s) for n, s in zip(names, self.scales or [1] * d))
+
+
 def read_graph(path: str | Path) -> MosGraph:
     """Parse the canonical graph format; inverse of write_graph."""
-    num_vertices = 0
-    num_edges = -1
-    d = 0
-    scales: list[int] | None = None
-    names: list[str] | None = None
-    metadata: dict[str, str] = {}
+    header = _Header()
     edges: list[tuple[int, int, Cost]] = []
     lineno = 0
 
     def scan(lines: list[str]) -> None:
-        nonlocal num_vertices, num_edges, d, scales, names, lineno
+        nonlocal lineno
         for lineno, raw in enumerate(lines, start=lineno + 1):
             line = raw.strip()
             if not line:
                 continue
             kind, _, rest = line.partition(" ")
-            if kind == "a":
-                if num_edges < 0:
-                    raise Malformed(lineno, "arc before problem line")
-                tokens = rest.split()
-                if len(tokens) != 2 + d:
-                    raise Malformed(
-                        lineno, f"expected 'a u v' plus {d} costs, got {len(tokens)} fields"
-                    )
-                try:
-                    u, v, *cost = map(int, tokens)
-                except ValueError:  # redo field by field: the first bad one raises, named
-                    _int(tokens[0], lineno, "arc tail")
-                    _int(tokens[1], lineno, "arc head")
-                    for t in tokens[2:]:
-                        _int(t, lineno, "arc cost")
-                    raise
-                if not (1 <= u <= num_vertices) or not (1 <= v <= num_vertices):
-                    raise Malformed(lineno, f"arc endpoint out of range 1..{num_vertices}")
-                if min(cost) < 0:
-                    raise Malformed(lineno, "negative arc cost")
-                edges.append((u, v, tuple(cost)))
+            if kind != "a":
+                header.take(lineno, kind, rest, raw)
                 continue
-            if kind == "c":
-                words = rest.split()
-                if len(words) >= 2 and words[0] == "objectives":
-                    names = words[1].split(",")
-                elif len(words) >= 2 and words[0] == "meta":
-                    metadata[words[1]] = rest.split(None, 2)[2] if len(words) > 2 else ""
-                continue
-            if kind == "p":
-                if num_edges >= 0:
-                    raise Malformed(lineno, "duplicate problem line")
-                tokens = rest.split()
-                if len(tokens) != 4 or tokens[0] != "mosp":
-                    raise Malformed(lineno, f"expected 'p mosp V E d', got {raw!r}")
-                num_vertices = _int(tokens[1], lineno, "vertex count")
-                num_edges = _int(tokens[2], lineno, "edge count")
-                d = _int(tokens[3], lineno, "objective count")
-                if num_vertices < 1:
-                    raise Malformed(lineno, "vertex count must be >= 1")
-                if num_edges < 0:
-                    raise Malformed(lineno, "edge count must be >= 0")
-                if d < 1:
-                    raise Malformed(lineno, "objective count must be >= 1")
-                continue
-            if kind == "s":
-                if num_edges < 0:
-                    raise Malformed(lineno, "scale line before problem line")
-                if scales is not None:
-                    raise Malformed(lineno, "duplicate scale line")
-                tokens = rest.split()
-                if len(tokens) != d:
-                    raise Malformed(lineno, f"expected {d} scales, got {len(tokens)}")
-                scales = [_int(t, lineno, "scale") for t in tokens]
-                if any(s < 1 for s in scales):
-                    raise Malformed(lineno, "scales must be >= 1")
-                continue
-            raise Malformed(lineno, f"unknown line keyword {kind!r}")
+            if header.num_edges < 0:
+                raise Malformed(lineno, "arc before problem line")
+            tokens = rest.split()
+            if len(tokens) != 2 + header.d:
+                raise Malformed(
+                    lineno, f"expected 'a u v' plus {header.d} costs, got {len(tokens)} fields"
+                )
+            try:
+                u, v, *cost = map(int, tokens)
+            except ValueError:  # redo field by field: the first bad one raises, named
+                _int(tokens[0], lineno, "arc tail")
+                _int(tokens[1], lineno, "arc head")
+                for t in tokens[2:]:
+                    _int(t, lineno, "arc cost")
+                raise
+            n = header.num_vertices
+            if not (1 <= u <= n) or not (1 <= v <= n):
+                raise Malformed(lineno, f"arc endpoint out of range 1..{n}")
+            if min(cost) < 0:
+                raise Malformed(lineno, "negative arc cost")
+            edges.append((u, v, tuple(cost)))
 
     # The header goes through the line loop, then the arc block is read in
     # bulk if it is canonical (see _arc_fields) and line by line otherwise.
@@ -210,30 +232,51 @@ def read_graph(path: str | Path) -> MosGraph:
         scan(text[: start or len(text)].splitlines())
         if start:
             fields = None
-            if num_edges >= 0 and not edges:
-                fields = _arc_fields(text, start, d, num_vertices, num_edges)
+            if header.num_edges >= 0 and not edges:
+                fields = _arc_fields(text, start, header.d, header.num_vertices, header.num_edges)
             if fields is None:
                 scan(text[start:].splitlines())
             else:
                 it = iter(fields)
-                edges = list(zip(it, it, zip(*[it] * d)))
-                lineno += num_edges
+                edges = list(zip(it, it, zip(*[it] * header.d)))
+                lineno += header.num_edges
+    num_edges = header.num_edges
     if num_edges < 0:
         raise Malformed(lineno, "missing problem line")
     if len(edges) != num_edges:
         raise Malformed(lineno, f"problem line declares {num_edges} arcs, file has {len(edges)}")
-    if names is not None and len(names) != d:
-        raise Malformed(lineno, f"objective comment names {len(names)} of {d} objectives")
-    if names is None:
-        names = [f"c{i + 1}" for i in range(d)]
-    if scales is None:
-        scales = [1] * d
     return MosGraph(
-        num_vertices=num_vertices,
+        num_vertices=header.num_vertices,
         edges=tuple(edges),
-        objectives=tuple(Objective(n, s) for n, s in zip(names, scales)),
-        metadata=metadata,
+        objectives=header.objectives(lineno),
+        metadata=header.metadata,
     )
+
+
+def read_objectives(path: str | Path) -> tuple[Objective, ...]:
+    """A graph file's objectives, read from the lines before its first arc.
+
+    Those lines get read_graph's checks and errors; no arc is parsed, so
+    this costs the header, not the graph.  A `c objectives` line after the
+    first arc, which write_graph never emits, is not seen.
+    """
+    header = _Header()
+    lineno = 0
+    with open(path, encoding="ascii") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            raw = raw.rstrip("\n")
+            line = raw.strip()
+            if not line:
+                continue
+            kind, _, rest = line.partition(" ")
+            if kind == "a":
+                if header.num_edges < 0:
+                    raise Malformed(lineno, "arc before problem line")
+                break
+            header.take(lineno, kind, rest, raw)
+    if header.num_edges < 0:
+        raise Malformed(lineno, "missing problem line")
+    return header.objectives(lineno)
 
 
 def write_queries(queries: Sequence[Query], path: str | Path) -> None:

@@ -13,9 +13,11 @@ from __future__ import annotations
 import csv
 import io
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, itemgetter, le, sub
+from itertools import islice
+from operator import itemgetter, le, mul, sub
 from pathlib import Path
 from time import monotonic
 from typing import Callable, Sequence
@@ -29,7 +31,6 @@ from .core import (
     _fraction_text,
     correlation_matrix_from_costs,
     dominates,
-    eps_covers,
     objective_correlation_matrix,
     pareto_filter,
     path_cost,
@@ -180,53 +181,50 @@ def _path_can_cost(
     the graph's cached table of deltas over the smallest arc.  Those hops
     are walked level by level over the set of remainders still to be
     covered, each kept only while it lies within the componentwise
-    [min, max] delta sums of the hops after it.  The cost is reachable when
-    the zero vector is left; since every hop has the zero delta, a zero
-    remainder stays within every later bound and ends the walk.  Equal
-    remainders merge, so the work grows with the number of distinct partial
-    sums, not of arc choices.  For d=2 the walk runs on (r1, r2) pairs
-    against scalar suffix bounds.
+    [min, max] delta sums of the hops after it: those bounds start as the
+    sums over all such hops, and each hop's own min and max come off as the
+    walk reaches it.  The cost is reachable when the zero vector is left;
+    since every hop has the zero delta, a zero remainder stays within every
+    later bound and ends the walk.  Equal remainders merge, so the work
+    grows with the number of distinct partial sums, not of arc choices.
+    For d=2 the walk runs on (r1, r2) pairs against scalar bounds.
     """
     multi = [h for h in map(graph._parallel_arcs.get, hops) if h]
     if graph.d == 2:
-        # bounds[i]: min and max delta sums (lo1, lo2, hi1, hi2) of multi[i + 1:].
         lo1 = lo2 = hi1 = hi2 = 0
-        bounds = []
-        for _, (l1, l2), (u1, u2) in reversed(multi):
-            bounds.append((lo1, lo2, hi1, hi2))
+        for _, (l1, l2), (u1, u2) in multi:
             lo1 += l1
             lo2 += l2
             hi1 += u1
             hi2 += u2
-        bounds.reverse()
         pairs = {(cost[0] - base[0], cost[1] - base[1])}
-        for (deltas, _, _), (a1, a2, b1, b2) in zip(multi, bounds):
+        for deltas, (l1, l2), (u1, u2) in multi:
+            lo1 -= l1
+            lo2 -= l2
+            hi1 -= u1
+            hi2 -= u2
             pairs = {
                 (r1, r2)
                 for x1, x2 in pairs
                 for o1, o2 in deltas
-                if a1 <= (r1 := x1 - o1) <= b1 and a2 <= (r2 := x2 - o2) <= b2
+                if lo1 <= (r1 := x1 - o1) <= hi1 and lo2 <= (r2 := x2 - o2) <= hi2
             }
             if not pairs or (0, 0) in pairs:
                 break
         return (0, 0) in pairs
     zero = (0,) * graph.d
-    # lo[i], hi[i]: componentwise min and max delta sums of the hops multi[i:].
-    lo = [zero]
-    hi = [zero]
-    for _, dlo, dhi in reversed(multi):
-        lo.append(tuple(map(add, lo[-1], dlo)))
-        hi.append(tuple(map(add, hi[-1], dhi)))
-    lo.reverse()
-    hi.reverse()
+    lo = tuple(map(sum, zip(zero, *(dlo for _, dlo, _ in multi))))
+    hi = tuple(map(sum, zip(zero, *(dhi for _, _, dhi in multi))))
     level = {tuple(map(sub, cost, base))}
-    for (deltas, _, _), lo_i, hi_i in zip(multi, lo[1:], hi[1:]):
+    for deltas, dlo, dhi in multi:
+        lo = tuple(map(sub, lo, dlo))
+        hi = tuple(map(sub, hi, dhi))
         level = {
             r
             for acc in level
             for o in deltas
             for r in (tuple(map(sub, acc, o)),)
-            if all(map(le, lo_i, r)) and all(map(le, r, hi_i))
+            if all(map(le, lo, r)) and all(map(le, r, hi))
         }
         if not level or zero in level:
             break
@@ -300,7 +298,22 @@ def verify_coverage(
     exact: SolutionSet, approx: SolutionSet, eps: Epsilon
 ) -> tuple[bool, list[Cost]]:
     """True when every exact cost is epsilon-dominated by (or equal to) an
-    approximate cost; otherwise the uncovered exact vectors come back."""
+    approximate cost; otherwise the uncovered exact costs come back, in the
+    exact set's entry order.
+
+    With (num_k, den_k) the fraction form of 1 + eps_k, an approximate cost
+    a covers an exact cost c when a == c, or when its scaled form
+    a' = (a_k * den_k) is <= t = (num_k * c_k) in every component and
+    a' != t.  Equality is one set lookup.  The scaled approximate costs are
+    sorted once, and for each c a bisect on the first component leaves the
+    prefix of candidates.  For d=2 a running minimum of the second
+    component over the sorted costs, kept with the first component of the
+    cost that sets it, answers in one comparison: that cost has the
+    smallest first component among the prefix's costs with that second
+    component.  That is O((k + m) log m) for k exact and m approximate
+    costs.  Any other d scans the prefix at C level.  A cost whose width
+    differs from eps.d, in either set, raises DimensionMismatch.
+    """
     if (exact.query.source, exact.query.target, exact.query.index) != (
         approx.query.source,
         approx.query.target,
@@ -309,12 +322,48 @@ def verify_coverage(
         raise QueryMismatch(
             f"exact set is for query {exact.query}, approximate for {approx.query}"
         )
+    d = eps.d
+    exact_costs = exact.costs()
     approx_costs = approx.costs()
-    uncovered = [
-        c
-        for c in exact.costs()
-        if not any(eps_covers(a, c, eps) for a in approx_costs)
-    ]
+    widths = set(map(len, exact_costs)) | set(map(len, approx_costs))
+    if widths - {d}:
+        raise DimensionMismatch(
+            f"cost vectors of widths {sorted(widths)}, epsilon has {d} components"
+        )
+    nums, dens = zip(*eps.ratios())
+    present = set(approx_costs)
+    scaled = sorted({tuple(map(mul, a, dens)) for a in approx_costs})
+    firsts = [s[0] for s in scaled]
+    uncovered = []
+    if d == 2:
+        n1, n2 = nums
+        # best[i]: (second, first) scaled component of the cost holding the
+        # minimum second component of scaled[: i + 1], the earliest on ties.
+        best = []
+        low = None
+        for s1, s2 in scaled:
+            if low is None or s2 < low[0]:
+                low = (s2, s1)
+            best.append(low)
+        for c in exact_costs:
+            if c in present:
+                continue
+            t1 = n1 * c[0]
+            t2 = n2 * c[1]
+            i = bisect_right(firsts, t1)
+            if i:
+                m2, m1 = best[i - 1]
+                if m2 < t2 or (m2 == t2 and m1 < t1):
+                    continue
+            uncovered.append(c)
+    else:
+        for c in exact_costs:
+            if c in present:
+                continue
+            t = tuple(map(mul, nums, c))
+            prefix = islice(scaled, bisect_right(firsts, t[0]))
+            if not any(all(map(le, s, t)) and s != t for s in prefix):
+                uncovered.append(c)
     return (not uncovered, uncovered)
 
 

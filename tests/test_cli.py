@@ -400,6 +400,35 @@ class TestVerify:
             "query 0: no matching approximate set\ncoverage at eps=0.2: 0 pairs, 1 failures\n"
         )
 
+    @pytest.mark.parametrize(
+        "exact_costs,approx_costs,widths",
+        [
+            # The approximate costs are wider than --eps.
+            ({0: [(100, 110)]}, {0: [(100, 110, 1)]}, "[2, 3]"),
+            # Query 1's exact costs are wider than --eps, taken from query
+            # 0's block, and its approximate set is empty.
+            ({0: [(100, 110)], 1: [(1, 2, 3)]}, {0: [(100, 110)], 1: []}, "[3]"),
+        ],
+    )
+    def test_coverage_width_other_than_eps_exits_usage(
+        self, tmp_path, capsys, exact_costs, approx_costs, widths
+    ):
+        for name, by_query in (("e.sol", exact_costs), ("a.sol", approx_costs)):
+            sets = [
+                SolutionSet(
+                    Query(1, 2, idx),
+                    Epsilon.zero(len((costs or exact_costs[idx])[0])),
+                    tuple(SolutionEntry(c, None) for c in costs),
+                )
+                for idx, costs in by_query.items()
+            ]
+            write_solutions(sets, tmp_path / name)
+        argv = ["verify", "--exact", tmp_path / "e.sol", "--approx", tmp_path / "a.sol"]
+        assert run_main(argv + ["--eps", "0.1"]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: cost vectors of widths {widths}, epsilon has 2 components\n"
+        )
+
     def test_solver_output_satisfies_coverage(self, tmp_path):
         solve_small(tmp_path, eps="0")
         (tmp_path / "s.sol").rename(tmp_path / "e.sol")
@@ -502,6 +531,31 @@ class TestStats:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "objective,average_spread,included,excluded"
         assert out.splitlines()[1].startswith("c1,")
+
+    def test_spread_reads_only_the_graph_header(self, tmp_path, capsys, monkeypatch):
+        solve_small(tmp_path)
+        text = (tmp_path / "g.gr").read_text().replace("c objectives c1,c2", "c objectives x,y")
+        # A broken arc line would stop read_graph; the header is all spread reads.
+        (tmp_path / "g.gr").write_text(text + "a 1 oops\n")
+        capsys.readouterr()
+        code = run_main(
+            ["stats", "spread", "--solutions", tmp_path / "s.sol", "--graph", tmp_path / "g.gr"]
+        )
+        assert code == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["x", "y"]
+
+    def test_spread_bad_problem_line_exits_usage_with_its_line(self, tmp_path, capsys):
+        solve_small(tmp_path)
+        (tmp_path / "g.gr").write_text("c objectives a,b\np mosp x 1 2\na 1 2 3 4\n")
+        capsys.readouterr()
+        code = run_main(
+            ["stats", "spread", "--solutions", tmp_path / "s.sol", "--graph", tmp_path / "g.gr"]
+        )
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 2: vertex count: expected integer, got 'x'\n"
 
     @pytest.mark.parametrize("report", ["cardinality", "reduction"])
     @pytest.mark.parametrize(

@@ -22,9 +22,11 @@ from mosbench.core import (
     SolutionSet,
 )
 from mosbench.errors import Malformed
+from mosbench.generate import NetMakerSpec, generate_netmaker
 from mosbench.formats import (
     _int,
     read_graph,
+    read_objectives,
     read_queries,
     read_solutions,
     write_graph,
@@ -254,6 +256,45 @@ def test_graph_write_read_write_is_byte_identical(tmp_path_factory, g):
     write_graph(back, p)
     assert p.read_bytes() == first
 
+
+
+class TestReadObjectives:
+    @settings(max_examples=100, deadline=None)
+    @given(writable_graphs())
+    def test_matches_read_graph(self, tmp_path_factory, g):
+        p = tmp_path_factory.mktemp("obj") / "g.gr"
+        write_graph(g, p)
+        assert read_objectives(p) == read_graph(p).objectives == g.objectives
+
+    def test_generated_graph(self, tmp_path):
+        p = tmp_path / "g.gr"
+        write_graph(generate_netmaker(NetMakerSpec(n=200, seed=3)), p)
+        assert read_objectives(p) == read_graph(p).objectives
+
+    def test_names_default_without_objectives_comment(self, tmp_path):
+        p = tmp_path / "g.gr"
+        p.write_text("c meta family x\np mosp 2 1 3\ns 1 10 1\na 1 2 1 2 3\n")
+        want = (Objective("c1"), Objective("c2", 10), Objective("c3"))
+        assert read_objectives(p) == read_graph(p).objectives == want
+
+    @pytest.mark.parametrize(
+        "text,line,reason",
+        [
+            ("c objectives a,b\np mosp x 1 2\na 1 2 3 4\n", 2,
+             "vertex count: expected integer, got 'x'"),
+            ("c objectives a,b\na 1 2 3 4\np mosp 2 1 2\n", 2, "arc before problem line"),
+            ("\n\np mosp 2 1 2\ns 1\n", 4, "expected 2 scales, got 1"),
+            ("c objectives a\np mosp 2 1 2\na 1 2 3 4\n", 3,
+             "objective comment names 1 of 2 objectives"),
+            ("c objectives a,b\n", 1, "missing problem line"),
+        ],
+    )
+    def test_header_errors_name_their_line(self, tmp_path, text, line, reason):
+        p = tmp_path / "g.gr"
+        p.write_text(text)
+        with pytest.raises(Malformed) as err:
+            read_objectives(p)
+        assert (err.value.line_number, err.value.reason) == (line, reason)
 
 
 def line_by_line_read_graph(path: str | Path) -> MosGraph:

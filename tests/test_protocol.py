@@ -19,6 +19,7 @@ from mosbench.core import (
     SolutionEntry,
     SolutionSet,
     dominates,
+    eps_covers,
     path_cost,
 )
 from mosbench.errors import (
@@ -54,6 +55,7 @@ from mosbench.protocol import (
 from mosbench.solve import solve_approx, solve_exact
 
 from conftest import diamond_graph, random_graph, twin_arc_chain
+from test_acceptance import _desk_instances
 
 
 @contextmanager
@@ -413,6 +415,117 @@ class TestVerifyCoverage:
             approx = solve_approx(g, q, eps)
             ok, uncovered = verify_coverage(exact, approx, eps)
             assert ok, uncovered
+
+
+def pairwise_uncovered(exact, approx, eps):
+    """The exact costs that no approximate cost covers, one eps_covers per pair."""
+    return [c for c in exact.costs() if not any(eps_covers(a, c, eps) for a in approx.costs())]
+
+
+EPS_PARTS = (Fraction(0), Fraction(1, 100), Fraction(1, 10), Fraction(1, 2), Fraction(1))
+
+
+@st.composite
+def coverage_cases(draw):
+    """(exact costs, approx costs, eps): small costs force ties after scaling.
+
+    The exact list may repeat costs; the approx list mixes exact costs, free
+    ones that need not be exact costs, and (1 + eps) * c for exact costs c
+    where that is integral, which equal c's bound without covering it.  It
+    may be empty.
+    """
+    d = draw(st.integers(2, 4))
+    cost = st.tuples(*[st.integers(0, 6)] * d)
+    eps = Epsilon(tuple(draw(st.sampled_from(EPS_PARTS)) for _ in range(d)))
+    exact = draw(st.lists(cost, max_size=12))
+    approx = draw(st.lists(cost, max_size=4))
+    if exact:
+        exact += draw(st.lists(st.sampled_from(exact), max_size=3))
+        approx += draw(st.lists(st.sampled_from(exact), max_size=6))
+        for c in draw(st.lists(st.sampled_from(exact), max_size=3)):
+            bound = [(1 + e) * x for e, x in zip(eps.values, c)]
+            if all(b.denominator == 1 for b in bound):
+                approx.append(tuple(map(int, bound)))
+    return draw(st.permutations(exact)), draw(st.permutations(approx)), eps
+
+
+class TestCoverageSweep:
+    q = Query(1, 2, 0)
+
+    def as_set(self, costs, eps):
+        return SolutionSet(self.q, eps, tuple(SolutionEntry(c, None) for c in costs))
+
+    def check(self, exact_costs, approx_costs, eps):
+        exact = self.as_set(exact_costs, Epsilon.zero(eps.d))
+        approx = self.as_set(approx_costs, eps)
+        want = pairwise_uncovered(exact, approx, eps)
+        assert verify_coverage(exact, approx, eps) == (not want, want)
+        return want
+
+    @settings(max_examples=400, deadline=None)
+    @given(coverage_cases())
+    def test_matches_pairwise_rule(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize(
+        "exact,approx,value,uncovered",
+        [
+            # Scaled, (2, 2) equals (1, 1) * 2: covering needs strictness.
+            ([(1, 1)], [(2, 2)], Fraction(1), [(1, 1)]),
+            ([(1, 1, 1)], [(2, 2, 2)], Fraction(1), [(1, 1, 1)]),
+            # (6, 10) ties (3, 5)'s bound; (2, 10) shares its second
+            # component and covers.
+            ([(3, 5)], [(6, 10), (2, 10)], Fraction(1), []),
+            # Equal costs cover at eps 0, where no cost dominates itself.
+            ([(3, 4)], [(3, 4)], Fraction(0), []),
+            ([(3, 4), (1, 1), (3, 4)], [], Fraction(1, 10), [(3, 4), (1, 1), (3, 4)]),
+            ([(5, 5), (5, 5), (6, 1)], [(4, 5), (9, 9)], Fraction(0), [(6, 1)]),
+            ([(2, 4, 2), (4, 2, 2)], [(3, 3, 3)], Fraction(1, 10), [(2, 4, 2), (4, 2, 2)]),
+            ([(2, 4, 2), (4, 2, 2)], [(3, 3, 3)], Fraction(1, 2), []),
+            ([(2, 4, 2), (4, 2, 2)], [(3, 3, 3)], Fraction(1), []),
+        ],
+    )
+    def test_named_cases(self, exact, approx, value, uncovered):
+        eps = Epsilon.broadcast(value, len(exact[0]))
+        assert self.check(exact, approx, eps) == uncovered
+
+    def test_real_fronts_missing_their_widest_cover(self):
+        # On each reference query at eps 0.1, drop the approximate entry that
+        # covers the most exact costs: the d=2 sweep and the prefix scan
+        # (grid-8x8-d3, grid-6x6-d4, panda-many at d=8) must name the same
+        # uncovered costs as the pairwise rule, in entry order.
+        widths = set()
+        missed = 0
+        for name, graph, queries in _desk_instances():
+            eps = Epsilon.broadcast(Fraction(1, 10), graph.d)
+            for q in queries:
+                exact = solve_exact(graph, q)
+                approx = solve_approx(graph, q, eps)
+                costs = exact.costs()
+                widest = max(
+                    approx.entries, key=lambda e: sum(eps_covers(e.cost, c, eps) for c in costs)
+                )
+                fewer = SolutionSet(q, eps, tuple(e for e in approx.entries if e != widest))
+                want = pairwise_uncovered(exact, fewer, eps)
+                assert verify_coverage(exact, fewer, eps) == (not want, want), name
+                widths.add(graph.d)
+                missed += len(want)
+        assert {2, 3, 4, 8} <= widths
+        assert missed > 0
+
+    @pytest.mark.parametrize(
+        "exact,approx",
+        [
+            ([(1, 2, 3)], [(1, 2)]),
+            ([(1, 2)], [(1, 2, 3)]),
+            ([(1, 2, 3)], []),
+            ([], [(1,)]),
+        ],
+    )
+    def test_width_other_than_eps_raises(self, exact, approx):
+        eps = Epsilon.broadcast(Fraction(1, 10), 2)
+        with pytest.raises(DimensionMismatch):
+            verify_coverage(self.as_set(exact, eps), self.as_set(approx, eps), eps)
 
 
 def rec(card, eps="0", status=STATUS_SOLVED, bench="x", qidx=0):
