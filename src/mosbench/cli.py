@@ -7,16 +7,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import convert, formats, generate, protocol
-from .core import Epsilon, SolutionSet, _fraction_text
+from .core import Epsilon, SolutionSet
 from .errors import MosbenchError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VERIFICATION = 3
-
-
-def _normalize_eps_text(text: str) -> str:
-    return ",".join(_fraction_text(Fraction(p)) for p in text.split(","))
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -192,11 +188,11 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_stats(args: argparse.Namespace) -> int:
     if args.report == "cardinality":
         records = protocol.read_records(args.records)
-        eps_text = _normalize_eps_text(args.eps)
-        stats = protocol.cardinality_stats(records, eps_text)
+        eps = Epsilon(tuple(map(Fraction, args.eps.split(","))))
+        stats = protocol.cardinality_stats(records, eps)
         if stats.excluded_timeouts:
             print(f"excluded {stats.excluded_timeouts} timed-out records", file=sys.stderr)
-        _emit(protocol.cardinality_csv(stats, eps_text), args.out)
+        _emit(protocol.cardinality_csv(stats, eps.display()), args.out)
     elif args.report == "reduction":
         records = protocol.read_records(args.records)
         _emit(protocol.reduction_csv(protocol.reduction_stats(records)), args.out)

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter, le, sub
+from operator import itemgetter, le, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -323,22 +323,19 @@ def eps_dominates(p: Sequence[int], q: Sequence[int], eps: Epsilon) -> bool:
     """True when p_i <= (1 + eps_i) * q_i for all i, strictly for some i.
 
     With eps = 0 this reduces to dominates().  Evaluated exactly over the
-    integers via the fraction form of each 1 + eps_i.
+    integers: with (num_i, den_i) the fraction form of 1 + eps_i, the scaled
+    vector (p_i * den_i) must be <= (num_i * q_i) in every component and
+    differ from it.
     """
     _check_pair(p, q)
     if eps.d != len(p):
         raise DimensionMismatch(
             f"epsilon has {eps.d} components, vectors have {len(p)}"
         )
-    strict = False
-    for (a, b), (num, den) in zip(zip(p, q), eps.ratios()):
-        lhs = a * den
-        rhs = num * b
-        if lhs > rhs:
-            return False
-        if lhs < rhs:
-            strict = True
-    return strict
+    nums, dens = zip(*eps.ratios())
+    a = tuple(map(mul, p, dens))
+    t = tuple(map(mul, nums, q))
+    return all(map(le, a, t)) and a != t
 
 
 def eps_covers(p: Sequence[int], q: Sequence[int], eps: Epsilon) -> bool:

@@ -256,24 +256,30 @@ def read_graph(path: str | Path) -> MosGraph:
 def read_objectives(path: str | Path) -> tuple[Objective, ...]:
     """A graph file's objectives, read from the lines before its first arc.
 
-    Those lines get read_graph's checks and errors; no arc is parsed, so
-    this costs the header, not the graph.  A `c objectives` line after the
-    first arc, which write_graph never emits, is not seen.
+    Those lines are split as read_graph splits them and get its checks and
+    errors; no arc is parsed, so this costs the header, not the graph.  A
+    `c objectives` line after the first arc, which write_graph never emits,
+    is not seen.
     """
     header = _Header()
     lineno = 0
+    # read_graph's line loop takes the lines before the first `\na `; read
+    # those, and the "a" after them that starts the arc block.
+    text = ""
     with open(path, encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.rstrip("\n")
-            line = raw.strip()
-            if not line:
-                continue
-            kind, _, rest = line.partition(" ")
-            if kind == "a":
-                if header.num_edges < 0:
-                    raise Malformed(lineno, "arc before problem line")
-                break
-            header.take(lineno, kind, rest, raw)
+        while not (start := text.find("\na ") + 1) and (chunk := fh.read(1 << 16)):
+            text += chunk
+    head = text[: start + 1] if start else text
+    for lineno, raw in enumerate(head.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        kind, _, rest = line.partition(" ")
+        if kind == "a":
+            if header.num_edges < 0:
+                raise Malformed(lineno, "arc before problem line")
+            break
+        header.take(lineno, kind, rest, raw)
     if header.num_edges < 0:
         raise Malformed(lineno, "missing problem line")
     return header.objectives(lineno)

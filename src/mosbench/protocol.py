@@ -20,7 +20,7 @@ from itertools import islice
 from operator import itemgetter, le, mul, sub
 from pathlib import Path
 from time import monotonic
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     Cost,
@@ -312,13 +312,10 @@ def verify_coverage(
     smallest first component among the prefix's costs with that second
     component.  That is O((k + m) log m) for k exact and m approximate
     costs.  Any other d scans the prefix at C level.  A cost whose width
-    differs from eps.d, in either set, raises DimensionMismatch.
+    differs from eps.d, in either set, raises DimensionMismatch naming the
+    query.
     """
-    if (exact.query.source, exact.query.target, exact.query.index) != (
-        approx.query.source,
-        approx.query.target,
-        approx.query.index,
-    ):
+    if exact.query != approx.query:
         raise QueryMismatch(
             f"exact set is for query {exact.query}, approximate for {approx.query}"
         )
@@ -328,7 +325,8 @@ def verify_coverage(
     widths = set(map(len, exact_costs)) | set(map(len, approx_costs))
     if widths - {d}:
         raise DimensionMismatch(
-            f"cost vectors of widths {sorted(widths)}, epsilon has {d} components"
+            f"query {exact.query.index}: cost vectors of widths {sorted(widths)}, "
+            f"epsilon has {d} components"
         )
     nums, dens = zip(*eps.ratios())
     present = set(approx_costs)
@@ -526,6 +524,15 @@ def spread_stats(sets: Sequence[SolutionSet]) -> list[AxisSpread]:
     return out
 
 
+def _csv(header: Sequence[object], rows: Iterable[Sequence[object]]) -> str:
+    """The header and the rows as CSV text, each line ending in a newline."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
 def correlation_csv(graph: MosGraph, edge_filter: str | None = None) -> str:
     """Labeled CSV of the pairwise objective correlation matrix.
 
@@ -543,23 +550,18 @@ def correlation_csv(graph: MosGraph, edge_filter: str | None = None) -> str:
         matrix = correlation_matrix_from_costs(
             [graph.edges[i][2] for i in chosen]
         )
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["objective"] + names)
-    for name, row in zip(names, matrix):
-        w.writerow([name] + ["NA" if r is None else f"{r:.6f}" for r in row])
-    return buf.getvalue()
+    rows = [
+        [name] + ["NA" if r is None else f"{r:.6f}" for r in row] for name, row in zip(names, matrix)
+    ]
+    return _csv(["objective"] + names, rows)
 
 
 def records_to_csv(records: Sequence[BenchmarkRecord]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(RECORDS_HEADER)
-    for r in records:
-        w.writerow(
-            [r.benchmark, r.query_index, r.epsilon, r.cardinality, f"{r.ms:.3f}", r.solver, r.status]
-        )
-    return buf.getvalue()
+    rows = [
+        [r.benchmark, r.query_index, r.epsilon, r.cardinality, f"{r.ms:.3f}", r.solver, r.status]
+        for r in records
+    ]
+    return _csv(RECORDS_HEADER, rows)
 
 
 def read_records(path: str | Path) -> list[BenchmarkRecord]:
@@ -603,61 +605,51 @@ def read_records(path: str | Path) -> list[BenchmarkRecord]:
 
 
 def cardinality_csv(stats: CardinalityStats, eps_text: str) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["epsilon", "count", "min", "max", "median", "mean", "mean_rounded", "excluded_timeouts"])
-    w.writerow(
-        [
-            eps_text,
-            stats.count,
-            stats.minimum,
-            stats.maximum,
-            stats.median,
-            f"{stats.mean:.6f}",
-            stats.mean_rounded,
-            stats.excluded_timeouts,
-        ]
-    )
-    return buf.getvalue()
+    header = ["epsilon", "count", "min", "max", "median", "mean", "mean_rounded", "excluded_timeouts"]
+    row = [
+        eps_text,
+        stats.count,
+        stats.minimum,
+        stats.maximum,
+        stats.median,
+        f"{stats.mean:.6f}",
+        stats.mean_rounded,
+        stats.excluded_timeouts,
+    ]
+    return _csv(header, [row])
 
 
 def reduction_csv(stats: Sequence[ReductionStats]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(
+    header = [
+        "epsilon",
+        "queries",
+        "excluded_empty",
+        "pooled_median_pct",
+        "pooled_mean_pct",
+        "family_median_avg_pct",
+        "family_mean_avg_pct",
+    ]
+    rows = [
         [
-            "epsilon",
-            "queries",
-            "excluded_empty",
-            "pooled_median_pct",
-            "pooled_mean_pct",
-            "family_median_avg_pct",
-            "family_mean_avg_pct",
+            s.epsilon,
+            s.queries,
+            s.excluded_empty,
+            f"{s.pooled_median_pct:.3f}",
+            f"{s.pooled_mean_pct:.3f}",
+            f"{s.family_median_avg_pct:.3f}",
+            f"{s.family_mean_avg_pct:.3f}",
         ]
-    )
-    for s in stats:
-        w.writerow(
-            [
-                s.epsilon,
-                s.queries,
-                s.excluded_empty,
-                f"{s.pooled_median_pct:.3f}",
-                f"{s.pooled_mean_pct:.3f}",
-                f"{s.family_median_avg_pct:.3f}",
-                f"{s.family_mean_avg_pct:.3f}",
-            ]
-        )
-    return buf.getvalue()
+        for s in stats
+    ]
+    return _csv(header, rows)
 
 
 def spread_csv(spreads: Sequence[AxisSpread], names: Sequence[str] | None = None) -> str:
     """One row per axis, labelled by names (one per axis) or by 1-based index."""
     if names is not None and len(names) != len(spreads):
         raise DimensionMismatch(f"{len(names)} objective names for {len(spreads)} cost axes")
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["objective", "average_spread", "included", "excluded"])
+    rows = []
     for s in spreads:
         label = str(s.objective + 1) if names is None else names[s.objective]
-        w.writerow([label, f"{s.average:.6f}", s.included, s.excluded])
-    return buf.getvalue()
+        rows.append([label, f"{s.average:.6f}", s.included, s.excluded])
+    return _csv(["objective", "average_spread", "included", "excluded"], rows)

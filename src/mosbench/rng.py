@@ -49,13 +49,10 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def bounded(self, n: int) -> int:
-        """Uniform integer in [0, n) by multiply-shift with rejection (next_u64 inlined)."""
+        """Uniform integer in [0, n) by multiply-shift with rejection."""
         if not 0 < n <= 1 << 64:
             raise ValueError(f"bound must be in 1..2**64, got {n}")
-        z = self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        m = (z ^ (z >> 31)) * n
+        m = self.next_u64() * n
         low = m & _MASK
         if low < n:
             threshold = (1 << 64) % n

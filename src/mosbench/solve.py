@@ -28,7 +28,7 @@ import heapq
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import ge, le
+from operator import ge, le, mul
 from time import monotonic
 
 from .core import Cost, Epsilon, MosGraph, Query, SolutionEntry, SolutionSet
@@ -444,40 +444,33 @@ def solve_exact(
 def _eps_front(exact: SolutionSet, eps: Epsilon) -> SolutionSet:
     """The epsilon front of an exact one: greedy admission in entry order.
 
-    An entry is kept when no kept entry epsilon-covers it.  Exact entries
-    are pairwise distinct and lexicographically sorted, so the
+    An entry is kept when no kept entry epsilon-covers it: with (num_k,
+    den_k) the fraction form of 1 + eps_k, no kept cost scaled to
+    (a_k * den_k) is <= the entry's (num_k * c_k) in every component.
+    Exact entries are pairwise distinct and lexicographically sorted, so the
     all-components test cannot fire on an exactly equal vector and the
     strictness clause of epsilon-dominance is automatic.
     """
     _check_eps(eps, exact.epsilon.d)
     if eps.is_zero:
         return SolutionSet(exact.query, eps, exact.entries)
-    ratios = eps.ratios()
+    nums, dens = zip(*eps.ratios())
     kept: list[SolutionEntry] = []
+    scaled: list[Cost] = []
     for e in exact.entries:
-        if not any(
-            all(s * den <= num * c for s, c, (num, den) in zip(k.cost, e.cost, ratios))
-            for k in reversed(kept)
-        ):
+        t = tuple(map(mul, nums, e.cost))
+        if not any(all(map(le, s, t)) for s in reversed(scaled)):
             kept.append(e)
+            scaled.append(tuple(map(mul, e.cost, dens)))
     return SolutionSet(exact.query, eps, tuple(kept))
 
 
-def solve_approx(
-    graph: MosGraph,
-    query: Query,
-    eps: Epsilon,
-    heuristic: HeuristicTable | None = None,
-    *,
-    time_limit_ms: float | None = None,
-) -> SolutionSet:
+def solve_approx(graph: MosGraph, query: Query, eps: Epsilon) -> SolutionSet:
     """An epsilon-approximate front: every exact Pareto cost is epsilon
     dominated by (or equal to) some returned cost, and every returned cost
     is a true path cost.  With eps = 0 the output equals solve_exact."""
     _check_eps(eps, graph.d)
-    return _eps_front(
-        solve_exact(graph, query, heuristic, time_limit_ms=time_limit_ms), eps
-    )
+    return _eps_front(solve_exact(graph, query), eps)
 
 
 def brute_force_pareto(

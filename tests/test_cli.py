@@ -413,6 +413,7 @@ class TestVerify:
     def test_coverage_width_other_than_eps_exits_usage(
         self, tmp_path, capsys, exact_costs, approx_costs, widths
     ):
+        query = max(exact_costs)  # the last query is the one of the wrong width
         for name, by_query in (("e.sol", exact_costs), ("a.sol", approx_costs)):
             sets = [
                 SolutionSet(
@@ -426,7 +427,7 @@ class TestVerify:
         argv = ["verify", "--exact", tmp_path / "e.sol", "--approx", tmp_path / "a.sol"]
         assert run_main(argv + ["--eps", "0.1"]) == EXIT_USAGE
         assert capsys.readouterr().err == (
-            f"error: cost vectors of widths {widths}, epsilon has 2 components\n"
+            f"error: query {query}: cost vectors of widths {widths}, epsilon has 2 components\n"
         )
 
     def test_solver_output_satisfies_coverage(self, tmp_path):
@@ -631,6 +632,17 @@ class TestStats:
             )
             assert code == EXIT_OK
         capsys.readouterr()
+
+    @pytest.mark.parametrize("spelling", ["0.1,0.1", "1/10,0.10"])
+    def test_uniform_eps_list_matches_its_scalar(self, tmp_path, capsys, spelling):
+        solve_small(tmp_path)
+        capsys.readouterr()
+        argv = ["stats", "cardinality", "--records", tmp_path / "r.csv", "--eps"]
+        assert run_main(argv + ["0.1"]) == EXIT_OK
+        want = capsys.readouterr().out
+        assert want.splitlines()[1].startswith("0.1,1,")
+        assert run_main(argv + [spelling]) == EXIT_OK
+        assert capsys.readouterr().out == want
 
 
 class TestParser:

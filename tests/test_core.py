@@ -73,7 +73,50 @@ class TestDominance:
                 assert dominates(p, r)
 
 
+EPS_PARTS = (Fraction(0), Fraction(1, 100), Fraction(1, 10), Fraction(1, 2), Fraction(1))
+
+
+def flag_loop_eps_dominates(p, q, eps):
+    """eps_dominates as a loop with a strictness flag over each scaled pair."""
+    strict = False
+    for (a, b), (num, den) in zip(zip(p, q), eps.ratios()):
+        lhs = a * den
+        rhs = num * b
+        if lhs > rhs:
+            return False
+        if lhs < rhs:
+            strict = True
+    return strict
+
+
+@st.composite
+def eps_dominance_cases(draw):
+    """(p, q, eps) with d 1-4; p's parts often sit at or next to (1 + eps) * q."""
+    d = draw(st.integers(1, 4))
+    eps = Epsilon(tuple(draw(st.sampled_from(EPS_PARTS)) for _ in range(d)))
+    q = tuple(draw(st.integers(0, 30)) for _ in range(d))
+    p = tuple(
+        draw(
+            st.one_of(
+                st.integers(0, 40),
+                st.sampled_from([max(0, int(c * (1 + e)) + k) for k in (-1, 0, 1)]),
+            )
+        )
+        for c, e in zip(q, eps.values)
+    )
+    return p, q, eps
+
+
 class TestEpsDominance:
+    @given(eps_dominance_cases())
+    def test_matches_flag_loop(self, case):
+        p, q, eps = case
+        assert eps_dominates(p, q, eps) == flag_loop_eps_dominates(p, q, eps)
+
+    def test_width_other_than_eps_raises(self):
+        with pytest.raises(DimensionMismatch):
+            eps_dominates((1, 2), (1, 2), Epsilon.zero(3))
+
     def test_reduces_to_dominance_at_zero(self):
         zero = Epsilon.zero(2)
         rng = random.Random(13)

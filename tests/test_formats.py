@@ -296,6 +296,36 @@ class TestReadObjectives:
             read_objectives(p)
         assert (err.value.line_number, err.value.reason) == (line, reason)
 
+    @pytest.mark.parametrize("shift", [-3, -2, -1, 0, 1])
+    def test_header_longer_than_a_read(self, tmp_path, shift):
+        # The file is read 64 KiB at a time; the first "\na " falls across
+        # that boundary, and a bad line after it is never read.
+        head = "c objectives a,b\np mosp 2 1 2\nc meta note "
+        p = tmp_path / "g.gr"
+        p.write_text(head + "x" * ((1 << 16) + shift - len(head)) + "\na 1 2 3 4\nbogus\n")
+        assert read_objectives(p) == (Objective("a"), Objective("b"))
+
+    @pytest.mark.parametrize(
+        "sep",
+        ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\r", "\r\n"],
+        ids=["VT", "FF", "FS", "GS", "RS", "CR", "CRLF"],
+    )
+    @pytest.mark.parametrize(
+        "template",
+        [
+            "p mosp 2 1 2{sep}s 5 1\na 1 2 3 4\n",
+            "c objectives a,b{sep}s 1 1\np mosp 2 1 2\na 1 2 3 4\n",
+            "c objectives a,b\np mosp 2 1 2{sep}a 1 2 3 4\n",
+            "c objectives a,b{sep}a 1 2 3 4\np mosp 2 1 2\n",
+        ],
+        ids=["scale-after-p", "scale-before-p", "arc-after-p", "arc-before-p"],
+    )
+    def test_splits_lines_as_read_graph(self, tmp_path, sep, template):
+        p = tmp_path / "g.gr"
+        p.write_bytes(template.format(sep=sep).encode("ascii"))
+        want = read_outcome(lambda p: read_graph(p).objectives, p)
+        assert read_outcome(read_objectives, p) == want
+
 
 def line_by_line_read_graph(path: str | Path) -> MosGraph:
     """read_graph with every line through the line loop: the bulk path's reference."""

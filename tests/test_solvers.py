@@ -15,7 +15,9 @@ from mosbench.core import (
     Objective,
     Query,
     SolutionEntry,
+    SolutionSet,
     eps_covers,
+    pareto_filter,
     path_cost,
 )
 from mosbench.errors import (
@@ -26,6 +28,7 @@ from mosbench.errors import (
 )
 from mosbench.generate import GridSpec, generate_grid
 from mosbench.solve import (
+    _eps_front,
     brute_force_pareto,
     dijkstra_bound,
     ideal_point_heuristic,
@@ -304,7 +307,53 @@ class TestExactSearch:
         assert got == push_order_search(g, q)
 
 
+EPS_PARTS = (Fraction(0), Fraction(1, 100), Fraction(1, 10), Fraction(1, 2), Fraction(1))
+
+
+def generator_eps_front(costs, eps):
+    """_eps_front's greedy admission with a per-pair generator over the costs."""
+    ratios = eps.ratios()
+    kept = []
+    for c in costs:
+        if not any(
+            all(s * den <= num * x for s, x, (num, den) in zip(k, c, ratios))
+            for k in reversed(kept)
+        ):
+            kept.append(c)
+    return kept
+
+
+@st.composite
+def pareto_fronts(draw):
+    """A lexicographically sorted Pareto front with d 1-4, and an epsilon for it."""
+    d = draw(st.integers(1, 4))
+    costs = draw(st.lists(st.tuples(*[st.integers(0, 40)] * d), max_size=40))
+    eps = Epsilon(tuple(draw(st.sampled_from(EPS_PARTS)) for _ in range(d)))
+    return pareto_filter(costs), eps
+
+
 class TestApproxSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(pareto_fronts())
+    def test_eps_front_matches_generator_greedy(self, case):
+        front, eps = case
+        d = eps.d
+        entries = tuple(SolutionEntry(c, (1, 2 + i)) for i, c in enumerate(front))
+        got = _eps_front(SolutionSet(Query(1, 2, 0), Epsilon.zero(d), entries), eps)
+        assert got.epsilon == eps
+        assert [e.cost for e in got.entries] == generator_eps_front(front, eps)
+        assert set(got.entries) <= set(entries)
+
+    def test_solve_approx_is_eps_front_of_solve_exact(self):
+        rng = random.Random(83)
+        for _ in range(20):
+            d = rng.choice((2, 3, 4))
+            g = random_graph(rng, rng.randint(3, 10), 0.4, d)
+            q = Query(1, g.num_vertices, 0)
+            for value in EPS_PARTS:
+                eps = Epsilon.broadcast(value, d)
+                assert solve_approx(g, q, eps) == _eps_front(solve_exact(g, q), eps)
+
     def test_zero_eps_identical_to_exact(self):
         rng = random.Random(80)
         for _ in range(20):
