@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter, le, mul, sub
+from operator import itemgetter, le, lt, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -304,19 +304,13 @@ def _check_pair(p: Sequence[int], q: Sequence[int]) -> None:
 def dominates(p: Sequence[int], q: Sequence[int]) -> bool:
     """True when p <= q componentwise and p != q (Pareto dominance)."""
     _check_pair(p, q)
-    strict = False
-    for a, b in zip(p, q):
-        if a > b:
-            return False
-        if a < b:
-            strict = True
-    return strict
+    return all(map(le, p, q)) and any(map(lt, p, q))
 
 
 def weakly_dominates(p: Sequence[int], q: Sequence[int]) -> bool:
     """True when p <= q componentwise (dominated-or-equal)."""
     _check_pair(p, q)
-    return all(a <= b for a, b in zip(p, q))
+    return all(map(le, p, q))
 
 
 def eps_dominates(p: Sequence[int], q: Sequence[int], eps: Epsilon) -> bool:

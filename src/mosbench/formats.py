@@ -186,56 +186,61 @@ class _Header:
         return tuple(Objective(n, s) for n, s in zip(names, self.scales or [1] * d))
 
 
+def _scan(
+    header: _Header, edges: list[tuple[int, int, Cost]], lines: list[str], lineno: int
+) -> int:
+    """Take graph lines numbered from lineno + 1; the number of the last one.
+
+    Arc lines are checked and appended to edges, the others go to header.
+    """
+    for lineno, raw in enumerate(lines, start=lineno + 1):
+        line = raw.strip()
+        if not line:
+            continue
+        kind, _, rest = line.partition(" ")
+        if kind != "a":
+            header.take(lineno, kind, rest, raw)
+            continue
+        if header.num_edges < 0:
+            raise Malformed(lineno, "arc before problem line")
+        tokens = rest.split()
+        if len(tokens) != 2 + header.d:
+            raise Malformed(
+                lineno, f"expected 'a u v' plus {header.d} costs, got {len(tokens)} fields"
+            )
+        try:
+            u, v, *cost = map(int, tokens)
+        except ValueError:  # redo field by field: the first bad one raises, named
+            _int(tokens[0], lineno, "arc tail")
+            _int(tokens[1], lineno, "arc head")
+            for t in tokens[2:]:
+                _int(t, lineno, "arc cost")
+            raise
+        n = header.num_vertices
+        if not (1 <= u <= n) or not (1 <= v <= n):
+            raise Malformed(lineno, f"arc endpoint out of range 1..{n}")
+        if min(cost) < 0:
+            raise Malformed(lineno, "negative arc cost")
+        edges.append((u, v, tuple(cost)))
+    return lineno
+
+
 def read_graph(path: str | Path) -> MosGraph:
     """Parse the canonical graph format; inverse of write_graph."""
     header = _Header()
     edges: list[tuple[int, int, Cost]] = []
-    lineno = 0
-
-    def scan(lines: list[str]) -> None:
-        nonlocal lineno
-        for lineno, raw in enumerate(lines, start=lineno + 1):
-            line = raw.strip()
-            if not line:
-                continue
-            kind, _, rest = line.partition(" ")
-            if kind != "a":
-                header.take(lineno, kind, rest, raw)
-                continue
-            if header.num_edges < 0:
-                raise Malformed(lineno, "arc before problem line")
-            tokens = rest.split()
-            if len(tokens) != 2 + header.d:
-                raise Malformed(
-                    lineno, f"expected 'a u v' plus {header.d} costs, got {len(tokens)} fields"
-                )
-            try:
-                u, v, *cost = map(int, tokens)
-            except ValueError:  # redo field by field: the first bad one raises, named
-                _int(tokens[0], lineno, "arc tail")
-                _int(tokens[1], lineno, "arc head")
-                for t in tokens[2:]:
-                    _int(t, lineno, "arc cost")
-                raise
-            n = header.num_vertices
-            if not (1 <= u <= n) or not (1 <= v <= n):
-                raise Malformed(lineno, f"arc endpoint out of range 1..{n}")
-            if min(cost) < 0:
-                raise Malformed(lineno, "negative arc cost")
-            edges.append((u, v, tuple(cost)))
-
     # The header goes through the line loop, then the arc block is read in
     # bulk if it is canonical (see _arc_fields) and line by line otherwise.
     text = Path(path).read_text(encoding="ascii")
     start = text.find("\na ") + 1
     with collector_paused():
-        scan(text[: start or len(text)].splitlines())
+        lineno = _scan(header, edges, text[: start or len(text)].splitlines(), 0)
         if start:
             fields = None
             if header.num_edges >= 0 and not edges:
                 fields = _arc_fields(text, start, header.d, header.num_vertices, header.num_edges)
             if fields is None:
-                scan(text[start:].splitlines())
+                lineno = _scan(header, edges, text[start:].splitlines(), lineno)
             else:
                 it = iter(fields)
                 edges = list(zip(it, it, zip(*[it] * header.d)))
@@ -256,32 +261,21 @@ def read_graph(path: str | Path) -> MosGraph:
 def read_objectives(path: str | Path) -> tuple[Objective, ...]:
     """A graph file's objectives, read from the lines before its first arc.
 
-    Those lines are split as read_graph splits them and get its checks and
-    errors; no arc is parsed, so this costs the header, not the graph.  A
-    `c objectives` line after the first arc, which write_graph never emits,
-    is not seen.
+    Those are the lines before the first `\na `, which read_graph's line
+    loop takes before its arc block; they go through that loop here too and
+    get its checks and errors.  The arc block is not parsed, so this costs
+    the header, not the graph; a `c objectives` line inside it, which
+    write_graph never emits, is not seen.  An error found after those lines
+    names the block's first line.
     """
-    header = _Header()
-    lineno = 0
-    # read_graph's line loop takes the lines before the first `\na `; read
-    # those, and the "a" after them that starts the arc block.
     text = ""
     with open(path, encoding="ascii") as fh:
         while not (start := text.find("\na ") + 1) and (chunk := fh.read(1 << 16)):
             text += chunk
-    head = text[: start + 1] if start else text
-    for lineno, raw in enumerate(head.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        kind, _, rest = line.partition(" ")
-        if kind == "a":
-            if header.num_edges < 0:
-                raise Malformed(lineno, "arc before problem line")
-            break
-        header.take(lineno, kind, rest, raw)
+    header = _Header()
+    lineno = _scan(header, [], text[: start or len(text)].splitlines(), 0) + bool(start)
     if header.num_edges < 0:
-        raise Malformed(lineno, "missing problem line")
+        raise Malformed(lineno, "arc before problem line" if start else "missing problem line")
     return header.objectives(lineno)
 
 

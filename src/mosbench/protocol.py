@@ -16,7 +16,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from operator import itemgetter, le, mul, sub
 from pathlib import Path
 from time import monotonic
@@ -306,14 +305,12 @@ def verify_coverage(
     a' = (a_k * den_k) is <= t = (num_k * c_k) in every component and
     a' != t.  Equality is one set lookup.  The scaled approximate costs are
     sorted once, and for each c a bisect on the first component leaves the
-    prefix of candidates.  For d=2 a running minimum of the second
-    component over the sorted costs, kept with the first component of the
-    cost that sets it, answers in one comparison: that cost has the
-    smallest first component among the prefix's costs with that second
-    component.  That is O((k + m) log m) for k exact and m approximate
-    costs.  Any other d scans the prefix at C level.  A cost whose width
-    differs from eps.d, in either set, raises DimensionMismatch naming the
-    query.
+    prefix of candidates, scanned at C level from its end, nearest first,
+    as solve._eps_front scans.  That is one sort, one bisect per exact cost
+    and a scan of its prefix.  When the approximate costs form an antichain
+    at d=2, the prefix's last cost has its smallest second component, so
+    one test decides.  A cost whose width differs from eps.d, in either
+    set, raises DimensionMismatch naming the query.
     """
     if exact.query != approx.query:
         raise QueryMismatch(
@@ -333,35 +330,13 @@ def verify_coverage(
     scaled = sorted({tuple(map(mul, a, dens)) for a in approx_costs})
     firsts = [s[0] for s in scaled]
     uncovered = []
-    if d == 2:
-        n1, n2 = nums
-        # best[i]: (second, first) scaled component of the cost holding the
-        # minimum second component of scaled[: i + 1], the earliest on ties.
-        best = []
-        low = None
-        for s1, s2 in scaled:
-            if low is None or s2 < low[0]:
-                low = (s2, s1)
-            best.append(low)
-        for c in exact_costs:
-            if c in present:
-                continue
-            t1 = n1 * c[0]
-            t2 = n2 * c[1]
-            i = bisect_right(firsts, t1)
-            if i:
-                m2, m1 = best[i - 1]
-                if m2 < t2 or (m2 == t2 and m1 < t1):
-                    continue
+    for c in exact_costs:
+        if c in present:
+            continue
+        t = tuple(map(mul, nums, c))
+        i = bisect_right(firsts, t[0])
+        if not any(all(map(le, s, t)) and s != t for s in reversed(scaled[:i])):
             uncovered.append(c)
-    else:
-        for c in exact_costs:
-            if c in present:
-                continue
-            t = tuple(map(mul, nums, c))
-            prefix = islice(scaled, bisect_right(firsts, t[0]))
-            if not any(all(map(le, s, t)) and s != t for s in prefix):
-                uncovered.append(c)
     return (not uncovered, uncovered)
 
 

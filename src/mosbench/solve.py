@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from operator import ge, le, mul
 from time import monotonic
 
-from .core import Cost, Epsilon, MosGraph, Query, SolutionEntry, SolutionSet
+from .core import Cost, Epsilon, MosGraph, Query, SolutionEntry, SolutionSet, pareto_filter
 from .errors import (
     DimensionMismatch,
     InstanceTooLarge,
@@ -523,8 +523,6 @@ def brute_force_pareto(
             stack.pop()
             onpath.discard(path.pop())
             acc.pop()
-    from .core import pareto_filter
-
     front = pareto_filter(found.keys())
     entries = tuple(SolutionEntry(c, found[c]) for c in front)
     return SolutionSet(query, Epsilon.zero(d), entries)

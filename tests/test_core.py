@@ -52,6 +52,13 @@ class TestDominance:
         with pytest.raises(DimensionMismatch):
             dominates((1, 2), (1, 2, 3))
 
+    def test_mixed_sequence_types(self):
+        # A list never equals a tuple, so strictness must come from a
+        # component, not from comparing the vectors whole.
+        assert not dominates([1, 2], (1, 2))
+        assert dominates([1, 2], (1, 3))
+        assert weakly_dominates([1, 2], (1, 2))
+
     def test_antisymmetry_property(self):
         rng = random.Random(11)
         for _ in range(500):

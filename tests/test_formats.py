@@ -317,8 +317,9 @@ class TestReadObjectives:
             "c objectives a,b{sep}s 1 1\np mosp 2 1 2\na 1 2 3 4\n",
             "c objectives a,b\np mosp 2 1 2{sep}a 1 2 3 4\n",
             "c objectives a,b{sep}a 1 2 3 4\np mosp 2 1 2\n",
+            "p mosp 2 1 2{sep} a 1 2 3 4\nc objectives x,y\n",
         ],
-        ids=["scale-after-p", "scale-before-p", "arc-after-p", "arc-before-p"],
+        ids=["scale-after-p", "scale-before-p", "arc-after-p", "arc-before-p", "indented-arc"],
     )
     def test_splits_lines_as_read_graph(self, tmp_path, sep, template):
         p = tmp_path / "g.gr"

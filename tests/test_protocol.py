@@ -434,7 +434,7 @@ def coverage_cases(draw):
     where that is integral, which equal c's bound without covering it.  It
     may be empty.
     """
-    d = draw(st.integers(2, 4))
+    d = draw(st.integers(1, 5))
     cost = st.tuples(*[st.integers(0, 6)] * d)
     eps = Epsilon(tuple(draw(st.sampled_from(EPS_PARTS)) for _ in range(d)))
     exact = draw(st.lists(cost, max_size=12))
@@ -483,6 +483,10 @@ class TestCoverageSweep:
             ([(2, 4, 2), (4, 2, 2)], [(3, 3, 3)], Fraction(1, 10), [(2, 4, 2), (4, 2, 2)]),
             ([(2, 4, 2), (4, 2, 2)], [(3, 3, 3)], Fraction(1, 2), []),
             ([(2, 4, 2), (4, 2, 2)], [(3, 3, 3)], Fraction(1), []),
+            # d=1: (6,) ties (5,)'s bound and covers only (10,).
+            ([(5,), (10,)], [(6,)], Fraction(1, 5), [(5,)]),
+            ([(1, 2, 3, 4, 5), (1, 1, 1, 1, 1)], [(1, 2, 3, 4, 6), (2, 1, 1, 1, 1)],
+             Fraction(1, 4), [(1, 1, 1, 1, 1)]),
         ],
     )
     def test_named_cases(self, exact, approx, value, uncovered):
@@ -491,9 +495,9 @@ class TestCoverageSweep:
 
     def test_real_fronts_missing_their_widest_cover(self):
         # On each reference query at eps 0.1, drop the approximate entry that
-        # covers the most exact costs: the d=2 sweep and the prefix scan
-        # (grid-8x8-d3, grid-6x6-d4, panda-many at d=8) must name the same
-        # uncovered costs as the pairwise rule, in entry order.
+        # covers the most exact costs: the nearest-first prefix scan, at d=2
+        # and at grid-8x8-d3, grid-6x6-d4 and panda-many (d=8), must name the
+        # same uncovered costs as the pairwise rule, in entry order.
         widths = set()
         missed = 0
         for name, graph, queries in _desk_instances():
