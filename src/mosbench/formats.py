@@ -189,9 +189,9 @@ class _Header:
 def _scan(
     header: _Header, edges: list[tuple[int, int, Cost]], lines: list[str], lineno: int
 ) -> int:
-    """Take graph lines numbered from lineno + 1; the number of the last one.
+    """The line loop: take lines numbered from lineno + 1, return the last number.
 
-    Arc lines are checked and appended to edges, the others go to header.
+    Arc lines are checked and appended to edges; the others go to header.
     """
     for lineno, raw in enumerate(lines, start=lineno + 1):
         line = raw.strip()
