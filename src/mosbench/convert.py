@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .core import Cost, MosGraph, Objective
+from .core import Cost, MosGraph, Objective, collector_paused
 from .errors import (
     ArcSetMismatch,
     BadToken,
@@ -133,16 +133,17 @@ def parse_dimacs(distance_file: str | Path, time_file: str | Path) -> MosGraph:
         for i, (du, dv, tu, tv) in enumerate(zip(us, vs, tarcs[0::3], tarcs[1::3])):
             if du != tu or dv != tv:
                 raise ArcSetMismatch(f"arc {i + 1}: endpoints ({du},{dv}) vs ({tu},{tv})")
-    return MosGraph(
-        num_vertices=dn,
-        edges=tuple(zip(us, vs, zip(darcs[2::3], tarcs[2::3]))),
-        objectives=(Objective("distance"), Objective("time")),
-        metadata={
-            "family": "dimacs",
-            "distance_file": Path(distance_file).name,
-            "time_file": Path(time_file).name,
-        },
-    )
+    with collector_paused():
+        return MosGraph(
+            num_vertices=dn,
+            edges=tuple(zip(us, vs, zip(darcs[2::3], tarcs[2::3]))),
+            objectives=(Objective("distance"), Objective("time")),
+            metadata={
+                "family": "dimacs",
+                "distance_file": Path(distance_file).name,
+                "time_file": Path(time_file).name,
+            },
+        )
 
 
 @dataclass(frozen=True)

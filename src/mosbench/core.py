@@ -38,6 +38,15 @@ def collector_paused() -> Iterator[None]:
     ones again.  The collector is switched back on at exit only if it was on
     at entry, so nested pauses and callers that turned it off keep their
     state.
+
+    At that exit the pause also hands what it built to the oldest
+    generation: gc.freeze() then gc.unfreeze() move every tracked object
+    there and reset the young count, two O(1) list splices.  So no young
+    collection walks the build again; reference counting still frees it and
+    full collections still see it.  Every young object of the caller moves
+    with it.  The promotion is skipped when the caller has frozen objects
+    (gc.get_freeze_count() is non-zero), which stay frozen, and when the
+    collector was off at entry.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -45,6 +54,9 @@ def collector_paused() -> Iterator[None]:
         yield
     finally:
         if enabled:
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
 
 
@@ -105,12 +117,13 @@ class MosGraph:
     def _min_edge_cost(self) -> dict[tuple[int, int], Cost]:
         # Parallel edges collapse to the lexicographically smallest cost here;
         # path_cost uses this map, solvers see every parallel edge separately.
-        best: dict[tuple[int, int], Cost] = {}
-        for u, v, cost in self.edges:
-            key = (u, v)
-            cur = best.get(key)
-            if cur is None or cost < cur:
-                best[key] = cost
+        with collector_paused():
+            best: dict[tuple[int, int], Cost] = {}
+            for u, v, cost in self.edges:
+                key = (u, v)
+                cur = best.get(key)
+                if cur is None or cost < cur:
+                    best[key] = cost
         return best
 
     @cached_property
@@ -119,15 +132,16 @@ class MosGraph:
         # minus the lexicographic minimum (the zero delta first), then the
         # componentwise min and max of those deltas.  Built on first use.
         best = self._min_edge_cost
-        deltas: dict[tuple[int, int], set[Cost]] = {}
-        for u, v, cost in self.edges:
-            base = best[u, v]
-            if cost != base:
-                deltas.setdefault((u, v), {(0,) * self.d}).add(tuple(map(sub, cost, base)))
-        return {
-            hop: (tuple(sorted(ds)), tuple(map(min, zip(*ds))), tuple(map(max, zip(*ds))))
-            for hop, ds in deltas.items()
-        }
+        with collector_paused():
+            deltas: dict[tuple[int, int], set[Cost]] = {}
+            for u, v, cost in self.edges:
+                base = best[u, v]
+                if cost != base:
+                    deltas.setdefault((u, v), {(0,) * self.d}).add(tuple(map(sub, cost, base)))
+            return {
+                hop: (tuple(sorted(ds)), tuple(map(min, zip(*ds))), tuple(map(max, zip(*ds))))
+                for hop, ds in deltas.items()
+            }
 
     @cached_property
     def cost_sums(self) -> Cost:

@@ -231,6 +231,8 @@ def read_graph(path: str | Path) -> MosGraph:
     edges: list[tuple[int, int, Cost]] = []
     # The header goes through the line loop, then the arc block is read in
     # bulk if it is canonical (see _arc_fields) and line by line otherwise.
+    # The pause ends after the MosGraph is built, so the promotion at its end
+    # takes the graph's edge tuple too (see collector_paused).
     text = Path(path).read_text(encoding="ascii")
     start = text.find("\na ") + 1
     with collector_paused():
@@ -245,17 +247,17 @@ def read_graph(path: str | Path) -> MosGraph:
                 it = iter(fields)
                 edges = list(zip(it, it, zip(*[it] * header.d)))
                 lineno += header.num_edges
-    num_edges = header.num_edges
-    if num_edges < 0:
-        raise Malformed(lineno, "missing problem line")
-    if len(edges) != num_edges:
-        raise Malformed(lineno, f"problem line declares {num_edges} arcs, file has {len(edges)}")
-    return MosGraph(
-        num_vertices=header.num_vertices,
-        edges=tuple(edges),
-        objectives=header.objectives(lineno),
-        metadata=header.metadata,
-    )
+        num_edges = header.num_edges
+        if num_edges < 0:
+            raise Malformed(lineno, "missing problem line")
+        if len(edges) != num_edges:
+            raise Malformed(lineno, f"problem line declares {num_edges} arcs, file has {len(edges)}")
+        return MosGraph(
+            num_vertices=header.num_vertices,
+            edges=tuple(edges),
+            objectives=header.objectives(lineno),
+            metadata=header.metadata,
+        )
 
 
 def read_objectives(path: str | Path) -> tuple[Objective, ...]:

@@ -87,27 +87,27 @@ def generate_grid(spec: GridSpec) -> tuple[MosGraph, Query]:
         draws = substream(spec.seed, TAG_COSTS).bounded_run(hi - lo + 1, len(arcs) * d)
         costs = map(lo.__add__, draws)
         edges = [(u, v, cost) for (u, v), cost in zip(arcs, zip(*[costs] * d))]
-    source = k * m + 1
-    target = k * m + 2
-    zero = (0,) * d
-    edges += [(source, y * k + 1, zero) for y in range(m)]
-    edges += [((y + 1) * k, target, zero) for y in range(m)]
+        source = k * m + 1
+        target = k * m + 2
+        zero = (0,) * d
+        edges += [(source, y * k + 1, zero) for y in range(m)]
+        edges += [((y + 1) * k, target, zero) for y in range(m)]
 
-    graph = MosGraph(
-        num_vertices=k * m + 2,
-        edges=tuple(edges),
-        objectives=tuple(Objective(f"c{i + 1}") for i in range(d)),
-        metadata={
-            "family": "grid",
-            "k": str(k),
-            "m": str(m),
-            "seed": str(spec.seed),
-            "cost_low": str(lo),
-            "cost_high": str(hi),
-            "source": str(source),
-            "target": str(target),
-        },
-    )
+        graph = MosGraph(
+            num_vertices=k * m + 2,
+            edges=tuple(edges),
+            objectives=tuple(Objective(f"c{i + 1}") for i in range(d)),
+            metadata={
+                "family": "grid",
+                "k": str(k),
+                "m": str(m),
+                "seed": str(spec.seed),
+                "cost_low": str(lo),
+                "cost_high": str(hi),
+                "source": str(source),
+                "target": str(target),
+            },
+        )
     return graph, Query(source, target, 0)
 
 

@@ -45,7 +45,7 @@ from .errors import (
     SearchTimeout,
 )
 from .generate import netmaker_edge_kinds
-from .solve import HeuristicTable, _eps_front
+from .solve import HeuristicTable, _check_time_limit, _eps_front
 
 # Module attributes that traced benchmark runs (perfbench/pipeline.py) wrap by name.
 from .solve import ideal_point_heuristic, solve_approx, solve_exact  # noqa: F401
@@ -114,8 +114,10 @@ def run_benchmark(
     filter, so it is the time to produce that front from the shared
     heuristic.  A search that exceeds the timeout yields a timeout record
     and no solution set for every epsilon of its query; the batch always
-    continues.
+    continues.  A timeout_ms of None or inf means no limit; NaN or <= 0
+    raises ValueError before any work.
     """
+    _check_time_limit(timeout_ms, "timeout_ms")
     if grid is None:
         grid = EpsilonGrid()
     eps_list = grid.epsilons(graph.d) if isinstance(grid, EpsilonGrid) else list(grid)

@@ -403,6 +403,12 @@ def _materialize(
     return out
 
 
+def _check_time_limit(ms: float | None, name: str) -> None:
+    # NaN fails the comparison too: a NaN deadline would never pass.
+    if ms is not None and not ms > 0:
+        raise ValueError(f"{name} must be a positive number of milliseconds or None, got {ms}")
+
+
 def _check_eps(eps: Epsilon, d: int) -> None:
     if eps.d != d:
         raise DimensionMismatch(
@@ -420,8 +426,11 @@ def solve_exact(
     """The complete Pareto front of a query, with witness paths.
 
     Entries arrive already sorted lexicographically by cost (the order the
-    search finds them).  A disconnected query gives an empty set.
+    search finds them).  A disconnected query gives an empty set.  A
+    time_limit_ms of None or inf means no limit; NaN or <= 0 raises
+    ValueError.
     """
+    _check_time_limit(time_limit_ms, "time_limit_ms")
     _check_vertex(graph, query.source, "source")
     _check_vertex(graph, query.target, "target")
     if heuristic is None:

@@ -257,6 +257,15 @@ class TestSolve:
         records = read_records(tmp_path / "r.csv")
         assert [r.epsilon for r in records] == ["0", "0.1,0"]
 
+    @pytest.mark.parametrize("timeout", ["nan", "0", "-1"])
+    def test_bad_timeout_rejected(self, tmp_path, capsys, timeout):
+        # NaN once disabled the limit and 0 or -1 recorded timeouts, all
+        # with exit 0.
+        code = solve_small(tmp_path, extra=["--timeout", timeout])
+        assert code == EXIT_USAGE
+        assert "must be a positive number" in capsys.readouterr().err
+        assert not (tmp_path / "s.sol").exists()
+
     def test_unsorted_eps_grid_rejected(self, tmp_path, capsys):
         code = solve_small(tmp_path, eps="0.1,0.01")
         assert code == EXIT_USAGE

@@ -1,6 +1,7 @@
 """Dominance semantics, fronts, correlation, and the core data types."""
 from __future__ import annotations
 
+import gc
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from mosbench.core import (
     Epsilon,
     MosGraph,
     Objective,
+    collector_paused,
     correlation_matrix_from_costs,
     dominates,
     eps_covers,
@@ -30,6 +32,7 @@ from mosbench.errors import (
     NegativeCost,
     NonEdge,
 )
+from mosbench.formats import read_graph, write_graph
 
 from conftest import random_graph
 
@@ -340,6 +343,45 @@ class TestGraphAndPathCost:
                     assert rows[v] == want
                     # the rows hold the graph's own edge tuples, not copies
                     assert all(a is b for a, b in zip(rows[v], [e for e in g.edges if e[row] == v]))
+
+
+def young_ids() -> set[int]:
+    """ids of the objects that young collections walk (generations 0 and 1)."""
+    return {id(o) for gen in (0, 1) for o in gc.get_objects(gen)}
+
+
+class TestCollectorPause:
+    """A pause hands what it built to the oldest generation when it ends."""
+
+    def test_paused_build_leaves_the_young_generations(self):
+        assert gc.isenabled()
+        with collector_paused():
+            built = tuple((i, i + 1, (i, 2 * i)) for i in range(100))
+        young = young_ids()
+        assert id(built) not in young
+        assert not young & {id(x) for e in built for x in (e, e[2])}
+
+    def test_read_graph_and_edge_table_are_promoted(self, tmp_path):
+        write_graph(random_graph(random.Random(34), 30, 0.3, 2), tmp_path / "g.gr")
+        graph = read_graph(tmp_path / "g.gr")
+        young = young_ids()
+        assert id(graph.edges) not in young
+        assert not young & set(map(id, graph.edges))
+        table = graph._min_edge_cost
+        young = young_ids()
+        assert id(table) not in young
+        assert not young & set(map(id, table))
+
+    def test_frozen_objects_stay_frozen(self):
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            with collector_paused():
+                built = [(i,) for i in range(10)]
+            assert gc.get_freeze_count() == frozen
+            assert id(built) in young_ids()
+        finally:
+            gc.unfreeze()
 
 
 class TestPearson:

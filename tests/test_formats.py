@@ -130,6 +130,7 @@ class TestGraphFormat:
     def test_collector_state_survives_a_malformed_file(self, tmp_path):
         # The bulk read pauses the cyclic collector; a raise mid-read must
         # not leave it off, nor switch it on for a caller that turned it off.
+        # Such a caller's young objects are not promoted either.
         p = tmp_path / "bad.gr"
         p.write_text("p mosp 2 1 1\na 1 2 oops\n")
         assert gc.isenabled()
@@ -138,9 +139,11 @@ class TestGraphFormat:
         assert gc.isenabled()
         gc.disable()
         try:
+            young = []
             with pytest.raises(Malformed):
                 read_graph(p)
             assert not gc.isenabled()
+            assert any(o is young for o in gc.get_objects(0))
         finally:
             gc.enable()
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from mosbench.errors import (
     TargetOutOfRange,
 )
 from mosbench.generate import GridSpec, generate_grid
+from mosbench.protocol import run_benchmark
 from mosbench.solve import (
     _eps_front,
     brute_force_pareto,
@@ -448,6 +450,15 @@ class TestTimeout:
         g, q = generate_grid(GridSpec(k=12, m=12, d=2, seed=7))
         ss = solve_exact(g, q)
         assert len(ss.entries) >= 1
+        assert solve_exact(g, q, time_limit_ms=math.inf).entries == ss.entries
+
+    @pytest.mark.parametrize("limit", [math.nan, 0, -1.0, -math.inf])
+    def test_limit_must_be_positive(self, limit):
+        g, q = diamond_graph()
+        with pytest.raises(ValueError, match="time_limit_ms must be a positive"):
+            solve_exact(g, q, time_limit_ms=limit)
+        with pytest.raises(ValueError, match="timeout_ms must be a positive"):
+            run_benchmark(g, [q], timeout_ms=limit)
 
 
 class TestBruteForce:
