@@ -70,7 +70,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
         graph, remap = convert.extract_connected_subgraph(base, args.root, args.limit)
         if args.out_remap:
             lines = [f"{i + 1} {old}" for i, old in enumerate(remap)]
-            Path(args.out_remap).write_text("\n".join(lines) + "\n", encoding="ascii")
+            _emit("\n".join(lines) + "\n", args.out_remap)
     formats.write_graph(graph, args.out)
     print(
         f"{args.kind}: {graph.num_vertices} vertices, {graph.num_edges} edges, "
@@ -80,6 +80,8 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    if args.name is not None and not args.name.isascii():
+        raise ValueError(f"--name {args.name!r} is not ASCII, so the records CSV cannot hold it")
     graph = formats.read_graph(args.graph)
     queries = formats.read_queries(args.queries, num_vertices=graph.num_vertices)
     scalars = tuple(Fraction(p) for p in args.eps.split(","))
@@ -103,7 +105,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         objectives=graph.objectives,
         include_paths=not args.no_paths,
     )
-    Path(args.out_records).write_text(protocol.records_to_csv(records), encoding="ascii")
+    _emit(protocol.records_to_csv(records), args.out_records)
     return EXIT_OK
 
 
@@ -179,8 +181,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _emit(text: str, out: str | None) -> None:
+    # Encoded before the file is opened, so a refused text leaves it as it was.
     if out:
-        Path(out).write_text(text, encoding="ascii")
+        Path(out).write_bytes(text.encode("ascii"))
     else:
         sys.stdout.write(text)
 

@@ -355,7 +355,7 @@ def write_guards_map(grid: GuardGrid, path: str | Path) -> None:
             i = grid.cell(r, c)
             row.append(str(grid.guards[i]) if grid.passable[i] else "@")
         out.append(" ".join(row))
-    Path(path).write_text("\n".join(out) + "\n", encoding="ascii")
+    Path(path).write_bytes(("\n".join(out) + "\n").encode("ascii"))
 
 
 # Move order per source cell: lexicographic (row delta, column delta).

@@ -144,12 +144,17 @@ class MosGraph:
             }
 
     @cached_property
+    def _columns(self) -> tuple[itemgetter, ...]:
+        # One getter per objective, so that cost vectors sum column by
+        # column: zip(*costs) would allocate an iterator per vector and set
+        # off garbage collections mid-search.
+        return tuple(itemgetter(k) for k in range(self.d))
+
+    @cached_property
     def cost_sums(self) -> Cost:
         """Each objective summed over every edge: no simple path costs more."""
-        # Column sums through itemgetter: zip(*costs) would allocate an
-        # iterator per edge and set off garbage collections mid-search.
         costs = list(map(itemgetter(2), self.edges))
-        return tuple(sum(map(itemgetter(k), costs)) for k in range(self.d))
+        return tuple(sum(map(column, costs)) for column in self._columns)
 
     @cached_property
     def out_arcs(self) -> list[list[tuple[int, int, Cost]]]:
@@ -294,20 +299,83 @@ def path_cost(graph: MosGraph, path: Sequence[int]) -> Cost:
 
     Parallel edges resolve to the lexicographically smallest cost.  Raises
     NonEdge for an empty path, naming the first out-of-range vertex, or
-    naming the first consecutive pair that is not an arc.
+    naming the first consecutive pair that is not an arc.  Those checks run
+    only when a hop is not an arc or the path has under two vertices: a
+    path of arcs has every vertex in range.
     """
+    arcs = list(map(graph._min_edge_cost.get, zip(path, path[1:])))
+    if arcs and None not in arcs:
+        return tuple([sum(map(column, arcs)) for column in graph._columns])
     if not path:
         raise NonEdge("empty path")
     n = graph.num_vertices
-    if min(path) < 1 or max(path) > n:
-        v = next(v for v in path if not 1 <= v <= n)
-        raise NonEdge(f"path vertex {v} out of range 1..{n}")
-    hops = list(zip(path, path[1:]))
-    costs = list(map(graph._min_edge_cost.get, hops))
-    if None in costs:
-        u, v = hops[costs.index(None)]
-        raise NonEdge(f"({u}, {v}) is not an arc of the graph")
-    return tuple(map(sum, zip(*costs))) or (0,) * graph.d
+    for v in path:
+        if not 1 <= v <= n:
+            raise NonEdge(f"path vertex {v} out of range 1..{n}")
+    if arcs:
+        i = arcs.index(None)
+        raise NonEdge(f"({path[i]}, {path[i + 1]}) is not an arc of the graph")
+    return (0,) * graph.d
+
+
+def _path_can_cost(graph: MosGraph, path: Sequence[int], cost: Cost, base: Cost) -> bool:
+    """Whether some choice among parallel edges gives a path this exact cost.
+
+    Every hop of path is an arc of the graph, and base is path_cost(graph,
+    path), which takes the lexicographically smallest arc of every hop, so
+    what is left to cover is cost - base.  Only the hops with more than one
+    distinct arc cost can change that; their alternatives come from the
+    graph's cached table of deltas over the smallest arc.  Those hops
+    are walked level by level over the set of remainders still to be
+    covered, each kept only while it lies within the componentwise
+    [min, max] delta sums of the hops after it: those bounds start as the
+    sums over all such hops, and each hop's own min and max come off as the
+    walk reaches it.  The cost is reachable when the zero vector is left;
+    since every hop has the zero delta, a zero remainder stays within every
+    later bound and ends the walk.  Equal remainders merge, so the work
+    grows with the number of distinct partial sums, not of arc choices.
+    For d=2 the walk runs on (r1, r2) pairs against scalar bounds.
+    """
+    multi = [h for h in map(graph._parallel_arcs.get, zip(path, path[1:])) if h]
+    if graph.d == 2:
+        lo1 = lo2 = hi1 = hi2 = 0
+        for _, (l1, l2), (u1, u2) in multi:
+            lo1 += l1
+            lo2 += l2
+            hi1 += u1
+            hi2 += u2
+        pairs = {(cost[0] - base[0], cost[1] - base[1])}
+        for deltas, (l1, l2), (u1, u2) in multi:
+            lo1 -= l1
+            lo2 -= l2
+            hi1 -= u1
+            hi2 -= u2
+            pairs = {
+                (r1, r2)
+                for x1, x2 in pairs
+                for o1, o2 in deltas
+                if lo1 <= (r1 := x1 - o1) <= hi1 and lo2 <= (r2 := x2 - o2) <= hi2
+            }
+            if not pairs or (0, 0) in pairs:
+                break
+        return (0, 0) in pairs
+    zero = (0,) * graph.d
+    lo = tuple(map(sum, zip(zero, *(dlo for _, dlo, _ in multi))))
+    hi = tuple(map(sum, zip(zero, *(dhi for _, _, dhi in multi))))
+    level = {tuple(map(sub, cost, base))}
+    for deltas, dlo, dhi in multi:
+        lo = tuple(map(sub, lo, dlo))
+        hi = tuple(map(sub, hi, dhi))
+        level = {
+            r
+            for acc in level
+            for o in deltas
+            for r in (tuple(map(sub, acc, o)),)
+            if all(map(le, lo, r)) and all(map(le, r, hi))
+        }
+        if not level or zero in level:
+            break
+    return zero in level
 
 
 def _check_pair(p: Sequence[int], q: Sequence[int]) -> None:

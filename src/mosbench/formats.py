@@ -12,8 +12,9 @@ A line is its keyword, one space, then fields split on any whitespace.
 read_graph reads an arc block in write_graph's own layout in bulk and any
 other layout line by line; both give the same graph and the same errors.
 write_graph raises ValueError for an objective name or metadata key that
-_NAME_RE does not match, and for a metadata value with a line break or with
-leading or trailing whitespace: those would not read back as written.
+_NAME_RE does not match, and for a metadata value with a line break, with
+leading or trailing whitespace or with a non-ASCII character: those would
+not read back as written.
 
 Query files hold `q <source> <target>` lines whose file order defines the
 query index.  Solution files hold one block per (query, epsilon) pair:
@@ -114,7 +115,7 @@ def write_graph(graph: MosGraph, path: str | Path) -> None:
         value = str(graph.metadata[key])
         if not _NAME_RE.fullmatch(key):
             raise ValueError(f"metadata key {key!r} is not writable")
-        if "".join(value.splitlines()) != value or value != value.strip():
+        if "".join(value.splitlines()) != value or value != value.strip() or not value.isascii():
             raise ValueError(f"metadata value {value!r} of {key!r} is not writable")
         out.append(f"c meta {key} {value}")
     out.append(f"p mosp {graph.num_vertices} {graph.num_edges} {graph.d}")
@@ -122,7 +123,7 @@ def write_graph(graph: MosGraph, path: str | Path) -> None:
         out.append("s " + " ".join(str(o.scale) for o in graph.objectives))
     arc = "a %s %s" + " %s" * graph.d
     out += [arc % (u, v, *cost) for u, v, cost in sorted(graph.edges)]
-    Path(path).write_text("\n".join(out) + "\n", encoding="ascii")
+    Path(path).write_bytes(("\n".join(out) + "\n").encode("ascii"))
 
 
 class _Header:
@@ -284,7 +285,7 @@ def read_objectives(path: str | Path) -> tuple[Objective, ...]:
 def write_queries(queries: Sequence[Query], path: str | Path) -> None:
     """Write query pairs in list order (file order defines the index)."""
     out = [f"q {q.source} {q.target}" for q in queries]
-    Path(path).write_text("\n".join(out) + ("\n" if out else ""), encoding="ascii")
+    Path(path).write_bytes(("\n".join(out) + ("\n" if out else "")).encode("ascii"))
 
 
 def read_queries(path: str | Path, *, num_vertices: int | None = None) -> list[Query]:
@@ -333,7 +334,7 @@ def write_solutions(
                 fields += tuple(entry.path)
                 line += " :" + " %s" * len(entry.path)
             out.append(line % fields)
-    Path(path).write_text("\n".join(out) + ("\n" if out else ""), encoding="ascii")
+    Path(path).write_bytes(("\n".join(out) + ("\n" if out else "")).encode("ascii"))
 
 
 # Where a `.sol` text leaves write_solutions' layout: at its start, anything

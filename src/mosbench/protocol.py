@@ -16,7 +16,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter, le, mul, sub
+from operator import le, mul
 from pathlib import Path
 from time import monotonic
 from typing import Callable, Iterable, Sequence
@@ -28,6 +28,7 @@ from .core import (
     Query,
     SolutionSet,
     _fraction_text,
+    _path_can_cost,
     correlation_matrix_from_costs,
     dominates,
     objective_correlation_matrix,
@@ -45,7 +46,7 @@ from .errors import (
     SearchTimeout,
 )
 from .generate import netmaker_edge_kinds
-from .solve import HeuristicTable, _check_time_limit, _eps_front
+from .solve import HeuristicTable, _check_eps, _check_time_limit, _eps_front
 
 # Module attributes that traced benchmark runs (perfbench/pipeline.py) wrap by name.
 from .solve import ideal_point_heuristic, solve_approx, solve_exact  # noqa: F401
@@ -115,12 +116,17 @@ def run_benchmark(
     heuristic.  A search that exceeds the timeout yields a timeout record
     and no solution set for every epsilon of its query; the batch always
     continues.  A timeout_ms of None or inf means no limit; NaN or <= 0
-    raises ValueError before any work.
+    raises ValueError before any work.  So does an epsilon listed twice,
+    and one whose width is not graph.d raises DimensionMismatch.
     """
     _check_time_limit(timeout_ms, "timeout_ms")
     if grid is None:
         grid = EpsilonGrid()
     eps_list = grid.epsilons(graph.d) if isinstance(grid, EpsilonGrid) else list(grid)
+    for i, eps in enumerate(eps_list):
+        _check_eps(eps, graph.d)
+        if eps in eps_list[:i]:
+            raise ValueError(f"epsilon {eps.display()} is listed twice")
     name = benchmark_name or graph.metadata.get("family", "graph")
     # The heuristics build in_arcs; out_arcs is built here so that the
     # first query's ms does not count building the graph's rows.
@@ -170,68 +176,6 @@ class VerificationReport:
         return not self.violations
 
 
-def _path_can_cost(
-    graph: MosGraph, hops: Sequence[tuple[int, int]], cost: Cost, base: Cost
-) -> bool:
-    """Whether some choice among parallel edges gives a path this exact cost.
-
-    hops are the path's (u, v) pairs, all arcs of the graph, and base is
-    their path_cost, which takes the lexicographically smallest arc of every
-    hop, so what is left to cover is cost - base.  Only the hops with more
-    than one distinct arc cost can change that; their alternatives come from
-    the graph's cached table of deltas over the smallest arc.  Those hops
-    are walked level by level over the set of remainders still to be
-    covered, each kept only while it lies within the componentwise
-    [min, max] delta sums of the hops after it: those bounds start as the
-    sums over all such hops, and each hop's own min and max come off as the
-    walk reaches it.  The cost is reachable when the zero vector is left;
-    since every hop has the zero delta, a zero remainder stays within every
-    later bound and ends the walk.  Equal remainders merge, so the work
-    grows with the number of distinct partial sums, not of arc choices.
-    For d=2 the walk runs on (r1, r2) pairs against scalar bounds.
-    """
-    multi = [h for h in map(graph._parallel_arcs.get, hops) if h]
-    if graph.d == 2:
-        lo1 = lo2 = hi1 = hi2 = 0
-        for _, (l1, l2), (u1, u2) in multi:
-            lo1 += l1
-            lo2 += l2
-            hi1 += u1
-            hi2 += u2
-        pairs = {(cost[0] - base[0], cost[1] - base[1])}
-        for deltas, (l1, l2), (u1, u2) in multi:
-            lo1 -= l1
-            lo2 -= l2
-            hi1 -= u1
-            hi2 -= u2
-            pairs = {
-                (r1, r2)
-                for x1, x2 in pairs
-                for o1, o2 in deltas
-                if lo1 <= (r1 := x1 - o1) <= hi1 and lo2 <= (r2 := x2 - o2) <= hi2
-            }
-            if not pairs or (0, 0) in pairs:
-                break
-        return (0, 0) in pairs
-    zero = (0,) * graph.d
-    lo = tuple(map(sum, zip(zero, *(dlo for _, dlo, _ in multi))))
-    hi = tuple(map(sum, zip(zero, *(dhi for _, _, dhi in multi))))
-    level = {tuple(map(sub, cost, base))}
-    for deltas, dlo, dhi in multi:
-        lo = tuple(map(sub, lo, dlo))
-        hi = tuple(map(sub, hi, dhi))
-        level = {
-            r
-            for acc in level
-            for o in deltas
-            for r in (tuple(map(sub, acc, o)),)
-            if all(map(le, lo, r)) and all(map(le, r, hi))
-        }
-        if not level or zero in level:
-            break
-    return zero in level
-
-
 def verify_solutions(
     graph: MosGraph, query: Query, solset: SolutionSet
 ) -> VerificationReport:
@@ -264,10 +208,6 @@ def verify_solutions(
             if i != j and dominates(cj, ci):
                 v.append(f"DominanceViolation: entry {i} is dominated by entry {j}")
                 break
-    min_cost = graph._min_edge_cost.get
-    # Column sums through itemgetter: zip(*arcs) would allocate an iterator
-    # per hop, and the collections they set off cost more than the sums.
-    columns = [itemgetter(k) for k in range(d)]
     for i, entry in enumerate(solset.entries):
         if entry.path is None:
             continue
@@ -278,17 +218,12 @@ def verify_solutions(
         if p and p[-1] != query.target:
             v.append(f"PathEnd: entry {i} ends at {p[-1]}, query target is {query.target}")
             continue
-        hops = list(zip(p, p[1:]))
-        arcs = list(map(min_cost, hops))
-        if arcs and None not in arcs:
-            rc = tuple([sum(map(column, arcs)) for column in columns])
-        else:  # path_cost names the missing arc or bad vertex, or costs one vertex
-            try:
-                rc = path_cost(graph, p)
-            except NonEdge as exc:
-                v.append(f"PathBroken: entry {i}: {exc}")
-                continue
-        if rc != entry.cost and not _path_can_cost(graph, hops, entry.cost, rc):
+        try:
+            rc = path_cost(graph, p)
+        except NonEdge as exc:
+            v.append(f"PathBroken: entry {i}: {exc}")
+            continue
+        if rc != entry.cost and not _path_can_cost(graph, p, entry.cost, rc):
             v.append(
                 f"CostMismatch: entry {i} stores {entry.cost}, path recomputes to {rc}"
             )

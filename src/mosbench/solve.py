@@ -110,65 +110,6 @@ def ideal_point_heuristic(graph: MosGraph, target: int) -> HeuristicTable:
     )
 
 
-@dataclass(eq=False)
-class SearchLabel:
-    """A partial path in the reference search: vertex, g, f and parent link."""
-
-    vertex: int
-    g: Cost
-    f: Cost
-    parent: "SearchLabel | None" = None
-
-    def path(self) -> tuple[int, ...]:
-        out = []
-        lab: SearchLabel | None = self
-        while lab is not None:
-            out.append(lab.vertex)
-            lab = lab.parent
-        return tuple(reversed(out))
-
-
-def reference_label_search(graph: MosGraph, query: Query) -> list[tuple[Cost, tuple[int, ...]]]:
-    """Plain label-setting without heuristic, packing or suffix tricks.
-
-    Deliberately naive (full-vector dominance scans, object labels) so it
-    can serve as an independent cross-check for the production solver.
-    """
-    _check_vertex(graph, query.source, "source")
-    _check_vertex(graph, query.target, "target")
-    d = graph.d
-    zero = (0,) * d
-    if query.source == query.target:
-        return [(zero, (query.source,))]
-    arcs = graph.out_arcs
-    tgt = query.target
-    counter = 0
-    root = SearchLabel(query.source, zero, zero)
-    heap: list[tuple[Cost, int, int, SearchLabel]] = [(zero, query.source, 0, root)]
-    closed: list[list[Cost]] = [[] for _ in range(graph.num_vertices + 1)]
-    sols: list[tuple[Cost, tuple[int, ...]]] = []
-
-    def blocked(g: Cost, pool: list[Cost]) -> bool:
-        return any(all(a <= b for a, b in zip(p, g)) for p in pool)
-
-    while heap:
-        _, v, _, lab = heapq.heappop(heap)
-        g = lab.g
-        if blocked(g, closed[v]) or blocked(g, [c for c, _ in sols]):
-            continue
-        if v == tgt:
-            sols.append((g, lab.path()))
-            continue
-        closed[v].append(g)
-        for _, w, cost in arcs[v]:
-            ng = tuple(g[k] + cost[k] for k in range(d))
-            if blocked(ng, closed[w]) or blocked(ng, [c for c, _ in sols]):
-                continue
-            counter += 1
-            heapq.heappush(heap, (ng, w, counter, SearchLabel(w, ng, ng, lab)))
-    return sols
-
-
 def _search_bi(
     graph: MosGraph,
     query: Query,

@@ -123,6 +123,21 @@ class TestConvert:
         assert code == EXIT_USAGE
         assert "line 1: d.gr: vertex count must be >= 1" in capsys.readouterr().err
 
+    def test_unwritable_file_name_keeps_existing_output(self, tmp_path, capsys):
+        # The file names go into the graph's metadata, which is ASCII.
+        (tmp_path / "straße.dist.gr").write_text(DIST)
+        (tmp_path / "straße.time.gr").write_text(TIME)
+        (tmp_path / "out.gr").write_bytes(b"previous\n")
+        code = run_main(
+            [
+                "convert", "dimacs", "--distance", tmp_path / "straße.dist.gr",
+                "--time", tmp_path / "straße.time.gr", "--out", tmp_path / "out.gr",
+            ]
+        )
+        assert code == EXIT_USAGE
+        assert "'straße.dist.gr' of 'distance_file' is not writable" in capsys.readouterr().err
+        assert (tmp_path / "out.gr").read_bytes() == b"previous\n"
+
     def test_dimacs_extend(self, tmp_path):
         (tmp_path / "d.gr").write_text(DIST)
         (tmp_path / "t.gr").write_text(TIME)
@@ -256,6 +271,23 @@ class TestSolve:
         solve_small(tmp_path, extra=["--eps-vec", "0.1,0"], eps="0")
         records = read_records(tmp_path / "r.csv")
         assert [r.epsilon for r in records] == ["0", "0.1,0"]
+
+    def test_repeated_epsilon_rejected(self, tmp_path, capsys):
+        # Two identical blocks and records once made stats reduction report
+        # two queries for one.
+        code = solve_small(tmp_path, extra=["--eps-vec", "0.1,0.1"], eps="0,0.1")
+        assert code == EXIT_USAGE
+        assert "epsilon 0.1 is listed twice" in capsys.readouterr().err
+        assert not (tmp_path / "s.sol").exists()
+
+    def test_non_ascii_name_keeps_existing_outputs(self, tmp_path, capsys):
+        solve_small(tmp_path)
+        outputs = [tmp_path / "s.sol", tmp_path / "r.csv"]
+        before = [p.read_bytes() for p in outputs]
+        code = solve_small(tmp_path, extra=["--name", "café"])
+        assert code == EXIT_USAGE
+        assert "--name 'café' is not ASCII" in capsys.readouterr().err
+        assert [p.read_bytes() for p in outputs] == before
 
     @pytest.mark.parametrize("timeout", ["nan", "0", "-1"])
     def test_bad_timeout_rejected(self, tmp_path, capsys, timeout):

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mosbench.core import (
@@ -249,7 +249,64 @@ class TestParetoFilter:
             pareto_filter([(1, 2), (1, 2, 3)])
 
 
+def reference_path_cost(graph: MosGraph, path):
+    """path_cost with its checks first and a zip(*) column sum: the reference."""
+    if not path:
+        raise NonEdge("empty path")
+    n = graph.num_vertices
+    if min(path) < 1 or max(path) > n:
+        v = next(v for v in path if not 1 <= v <= n)
+        raise NonEdge(f"path vertex {v} out of range 1..{n}")
+    hops = list(zip(path, path[1:]))
+    costs = list(map(graph._min_edge_cost.get, hops))
+    if None in costs:
+        u, v = hops[costs.index(None)]
+        raise NonEdge(f"({u}, {v}) is not an arc of the graph")
+    return tuple(map(sum, zip(*costs))) or (0,) * graph.d
+
+
+def cost_outcome(cost, graph, path):
+    try:
+        return cost(graph, path)
+    except NonEdge as exc:
+        return f"NonEdge: {exc}"
+
+
+@st.composite
+def multigraph_vertex_lists(draw):
+    """A multigraph with d in 1..4 and a vertex list to cost in it.
+
+    The list has up to 7 vertices.  It walks along arcs, parallel arcs
+    included, and jumps to any vertex where no arc leaves; then possibly one
+    vertex is replaced by any of -1..n+2.  So it may be empty or one vertex,
+    miss an arc or leave the vertex range.
+    """
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
+    cost = st.tuples(*[st.integers(0, 5)] * d)
+    hops = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=8))
+    edges = [(u, v, c) for u, v in hops for c in draw(st.lists(cost, min_size=1, max_size=3))]
+    edges = draw(st.permutations(edges))
+    g = MosGraph(n, tuple(edges), tuple(Objective(f"c{k + 1}") for k in range(d)))
+    size = draw(st.integers(0, 7))
+    path = [draw(st.integers(1, n))] if size else []
+    while 0 < len(path) < size:
+        heads = [v for u, v, _ in g.edges if u == path[-1]]
+        path.append(draw(st.sampled_from(heads) if heads else st.integers(1, n)))
+    if path and draw(st.booleans()):
+        path[draw(st.integers(0, len(path) - 1))] = draw(st.integers(-1, n + 2))
+    return g, path
+
+
 class TestGraphAndPathCost:
+    @settings(max_examples=500, deadline=None)
+    @given(multigraph_vertex_lists())
+    def test_matches_reference_path_cost(self, case):
+        g, path = case
+        want = cost_outcome(reference_path_cost, g, path)
+        assert cost_outcome(path_cost, g, path) == want
+        assert cost_outcome(path_cost, g, tuple(path)) == want
+
     def test_path_cost_sums_edges(self):
         g = random_graph(random.Random(31), 6, 1.0, 3)
         cost = path_cost(g, [1, 2, 3])

@@ -214,6 +214,16 @@ class TestGraphFormat:
         with pytest.raises(ValueError, match="objective name"):
             write_graph(g, tmp_path / "o.gr")
 
+    def test_refused_text_keeps_existing_file(self, tmp_path):
+        p = tmp_path / "out"
+        p.write_bytes(b"previous\n")
+        with pytest.raises(ValueError, match="metadata value 'café' of 'k' is not writable"):
+            write_graph(MosGraph(1, (), (Objective("x"),), {"k": "café"}), p)
+        empty = SolutionSet(Query(1, 1, 0), Epsilon.zero(1), ())
+        with pytest.raises(UnicodeEncodeError):
+            write_solutions([empty], p, objectives=[Objective("café")])
+        assert p.read_bytes() == b"previous\n"
+
     def test_metadata_edge_cases_round_trip(self, tmp_path):
         metadata = {"empty": "", "gap": "a  b", "tab": "a\tb", "A-b_c.9": "x,y=z"}
         g = MosGraph(1, (), (Objective("x"),), metadata)

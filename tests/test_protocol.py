@@ -18,6 +18,7 @@ from mosbench.core import (
     Query,
     SolutionEntry,
     SolutionSet,
+    _path_can_cost,
     dominates,
     eps_covers,
     path_cost,
@@ -27,6 +28,7 @@ from mosbench.errors import (
     DimensionMismatch,
     Malformed,
     MissingBaseline,
+    NonEdge,
     NoRecords,
     QueryMismatch,
 )
@@ -45,7 +47,6 @@ from mosbench.protocol import (
     records_to_csv,
     reduction_csv,
     reduction_stats,
-    _path_can_cost,
     run_benchmark,
     spread_csv,
     spread_stats,
@@ -56,6 +57,7 @@ from mosbench.solve import solve_approx, solve_exact
 
 from conftest import diamond_graph, random_graph, twin_arc_chain
 from test_acceptance import _desk_instances
+from test_core import reference_path_cost
 
 
 @contextmanager
@@ -161,6 +163,26 @@ class TestRunBenchmark:
         _, records = run_benchmark(g, [q], eps)
         assert [r.epsilon for r in records] == ["0", "0.1,0"]
 
+    @pytest.mark.parametrize(
+        "eps_list,error,message",
+        [
+            # 0.1 and 0.1,0.1 are one epsilon: two identical fronts and
+            # records would count one query twice.
+            (
+                [Epsilon.broadcast("0.1", 2), Epsilon.zero(2), Epsilon((Fraction(1, 10),) * 2)],
+                ValueError,
+                "epsilon 0.1 is listed twice",
+            ),
+            ([Epsilon.zero(2), Epsilon.zero(3)], DimensionMismatch, "epsilon has 3 components"),
+        ],
+    )
+    def test_epsilon_list_checked_before_any_work(self, eps_list, error, message):
+        g, q = diamond_graph()
+        seen = []
+        with pytest.raises(error, match=message):
+            run_benchmark(g, [q], eps_list, progress=seen.append)
+        assert seen == []
+
     def test_family_name_fallback(self):
         g, q = generate_grid(GridSpec(k=3, m=3, seed=1))
         _, records = run_benchmark(g, [q])
@@ -215,6 +237,70 @@ def pairwise_set_violations(costs):
                 out.append(f"DominanceViolation: entry {i} is dominated by entry {j}")
                 break
     return out
+
+
+def witness_violations(graph, query, solset):
+    """verify_solutions's witness checks as a loop of their own: the reference.
+
+    A witness whose hops are all arcs sums each hop's cheapest arc with
+    zip(*); reference_path_cost costs every other witness or names its error.
+    """
+    out = []
+    for i, entry in enumerate(solset.entries):
+        p = entry.path
+        if p is None:
+            continue
+        if p and p[0] != query.source:
+            out.append(f"PathStart: entry {i} starts at {p[0]}, query source is {query.source}")
+            continue
+        if p and p[-1] != query.target:
+            out.append(f"PathEnd: entry {i} ends at {p[-1]}, query target is {query.target}")
+            continue
+        arcs = [graph._min_edge_cost.get(hop) for hop in zip(p, p[1:])]
+        if arcs and None not in arcs:
+            rc = tuple(map(sum, zip(*arcs)))
+        else:
+            try:
+                rc = reference_path_cost(graph, p)
+            except NonEdge as exc:
+                out.append(f"PathBroken: entry {i}: {exc}")
+                continue
+        if rc != entry.cost and not _path_can_cost(graph, p, entry.cost, rc):
+            out.append(f"CostMismatch: entry {i} stores {entry.cost}, path recomputes to {rc}")
+    return out
+
+
+@st.composite
+def tampered_fronts(draw):
+    """A solver's exact front on a small multigraph (d in 1..4), tampered.
+
+    Each tampering picks an entry and moves one cost component by +-1,
+    replaces one path vertex (if any) by any of 0..n+1, cuts the path to its
+    first vertex, empties it, or duplicates the entry; the entries are then
+    shuffled.
+    """
+    g, path, _ = draw(multigraph_paths(dims=(1, 2, 3, 4)))
+    q = Query(path[0], path[-1], 0)
+    entries = list(solve_exact(g, q).entries)
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(entries) - 1))
+        cost, p = entries[i].cost, entries[i].path
+        kind = draw(st.sampled_from(("cost", "vertex", "cut", "empty", "duplicate")))
+        if kind == "cost":
+            k = draw(st.integers(0, g.d - 1))
+            cost = cost[:k] + (cost[k] + draw(st.sampled_from((-1, 1))),) + cost[k + 1 :]
+        elif kind == "vertex" and p:
+            j = draw(st.integers(0, len(p) - 1))
+            p = p[:j] + (draw(st.integers(0, g.num_vertices + 1)),) + p[j + 1 :]
+        elif kind == "cut":
+            p = p[:1]
+        elif kind == "empty":
+            p = ()
+        elif kind == "duplicate":
+            entries.append(entries[i])
+        entries[i] = SolutionEntry(cost, p)
+    entries = draw(st.permutations(entries))
+    return g, SolutionSet(q, Epsilon.zero(g.d), tuple(entries))
 
 
 class TestVerifySolutions:
@@ -318,6 +404,13 @@ class TestVerifySolutions:
         ss = SolutionSet(q, Epsilon.zero(d), tuple(SolutionEntry(c) for c in costs))
         assert verify_solutions(g, q, ss).violations == pairwise_set_violations(costs)
 
+    @settings(max_examples=300, deadline=None)
+    @given(tampered_fronts())
+    def test_tampered_fronts_match_reference_loop(self, case):
+        g, ss = case
+        want = pairwise_set_violations(ss.costs()) + witness_violations(g, ss.query, ss)
+        assert verify_solutions(g, ss.query, ss).violations == want
+
     def test_empty_path_is_reported_as_broken(self):
         g, q = diamond_graph()
         ss = SolutionSet(q, Epsilon.zero(2), (SolutionEntry((2, 2), ()),))
@@ -338,12 +431,11 @@ class TestVerifySolutions:
             for pick in itertools.product(*arcs)
         }
         base = path_cost(g, path)
-        hops = list(zip(path, path[1:]))
         reachable = data.draw(st.sampled_from(sorted(sums)))
-        assert _path_can_cost(g, hops, reachable, base)
+        assert _path_can_cost(g, path, reachable, base)
         top = 3 * (len(path) - 1) + 1
         other = data.draw(st.tuples(*[st.integers(0, top)] * g.d))
-        assert _path_can_cost(g, hops, other, base) == (other in sums)
+        assert _path_can_cost(g, path, other, base) == (other in sums)
 
     @settings(max_examples=300, deadline=None)
     @given(multigraph_paths(), st.data())

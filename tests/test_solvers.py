@@ -4,6 +4,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mosbench.core import (
+    Cost,
     Epsilon,
     MosGraph,
     Objective,
@@ -34,7 +36,6 @@ from mosbench.solve import (
     brute_force_pareto,
     dijkstra_bound,
     ideal_point_heuristic,
-    reference_label_search,
     solve_approx,
     solve_exact,
 )
@@ -42,6 +43,64 @@ from mosbench.solve import (
 from conftest import diamond_graph, line_graph, random_graph
 
 INF = float("inf")
+
+
+@dataclass(eq=False)
+class SearchLabel:
+    """A partial path in the reference search: vertex, g, f and parent link."""
+
+    vertex: int
+    g: Cost
+    f: Cost
+    parent: "SearchLabel | None" = None
+
+    def path(self) -> tuple[int, ...]:
+        out = []
+        lab: SearchLabel | None = self
+        while lab is not None:
+            out.append(lab.vertex)
+            lab = lab.parent
+        return tuple(reversed(out))
+
+
+def reference_label_search(graph: MosGraph, query: Query) -> list[tuple[Cost, tuple[int, ...]]]:
+    """Plain label-setting without heuristic, packing or suffix tricks.
+
+    Deliberately naive (full-vector dominance scans, object labels) so it
+    can serve as an independent cross-check for the production solver.
+    The query's endpoints must be vertices of the graph.
+    """
+    d = graph.d
+    zero = (0,) * d
+    if query.source == query.target:
+        return [(zero, (query.source,))]
+    arcs = graph.out_arcs
+    tgt = query.target
+    counter = 0
+    root = SearchLabel(query.source, zero, zero)
+    heap: list[tuple[Cost, int, int, SearchLabel]] = [(zero, query.source, 0, root)]
+    closed: list[list[Cost]] = [[] for _ in range(graph.num_vertices + 1)]
+    sols: list[tuple[Cost, tuple[int, ...]]] = []
+
+    def blocked(g: Cost, pool: list[Cost]) -> bool:
+        return any(all(a <= b for a, b in zip(p, g)) for p in pool)
+
+    while heap:
+        _, v, _, lab = heapq.heappop(heap)
+        g = lab.g
+        if blocked(g, closed[v]) or blocked(g, [c for c, _ in sols]):
+            continue
+        if v == tgt:
+            sols.append((g, lab.path()))
+            continue
+        closed[v].append(g)
+        for _, w, cost in arcs[v]:
+            ng = tuple(g[k] + cost[k] for k in range(d))
+            if blocked(ng, closed[w]) or blocked(ng, [c for c, _ in sols]):
+                continue
+            counter += 1
+            heapq.heappush(heap, (ng, w, counter, SearchLabel(w, ng, ng, lab)))
+    return sols
 
 
 def bellman_ford_to_target(graph: MosGraph, target: int, objective: int):
