@@ -96,16 +96,18 @@ def _parse_gr(path: str | Path) -> tuple[int, int, list[int]]:
                 continue
             raise Malformed(lineno, f"{name}: unknown line keyword {tokens[0]!r}")
 
-    # As in formats.read_graph: header by lines, a canonical arc block in bulk.
+    # As in formats.read_graph: header by lines, a canonical arc block in
+    # bulk, its endpoints checked here (scan names the line of a bad one).
     text = Path(path).read_text(encoding="ascii")
     start = text.find("\na ") + 1
     scan(text[: start or len(text)].splitlines())
     if start:
-        fields = _arc_fields(text, start, 1, n, m) if n >= 0 and not arcs else None
-        if fields is None:
-            scan(text[start:].splitlines())
-        else:
+        fields = _arc_fields(text, start, 1, m) if n >= 0 and not arcs else None
+        ends = fields and fields[0::3] + fields[1::3]
+        if ends and min(ends) >= 1 and max(ends) <= n:
             arcs = fields
+        else:
+            scan(text[start:].splitlines())
     if n < 0:
         raise Malformed(lineno, f"{name}: missing problem line")
     if len(arcs) != 3 * m:

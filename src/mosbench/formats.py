@@ -9,8 +9,9 @@ The graph format is a small extension of the familiar DIMACS arc layout:
     a <u> <v> <c_1> ... <c_d>
 
 A line is its keyword, one space, then fields split on any whitespace.
-read_graph reads an arc block in write_graph's own layout in bulk and any
-other layout line by line; both give the same graph and the same errors.
+read_graph reads an arc block in write_graph's own layout in bulk (layout
+by one regex search, values by MosGraph alone) and any other layout, or a
+bulk block either rejects, line by line; both give the same graph and errors.
 write_graph raises ValueError for an objective name or metadata key that
 _NAME_RE does not match, and for a metadata value with a line break, with
 leading or trailing whitespace or with a non-ASCII character: those would
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import suppress
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -49,7 +51,7 @@ from .core import (
     _fraction_text,
     collector_paused,
 )
-from .errors import Malformed
+from .errors import Malformed, NonEdge
 
 _NAME_RE = re.compile(r"[A-Za-z0-9_.\-]+")
 
@@ -70,37 +72,30 @@ def _ints(tokens: Sequence[str], lineno: int, what: str) -> tuple[int, ...]:
         raise
 
 
-def _arc_fields(
-    text: str, start: int, d: int, num_vertices: int, num_arcs: int
-) -> list[int] | None:
+def _arc_fields(text: str, start: int, d: int, num_arcs: int) -> list[int] | None:
     """The integers of the arc block text[start:], flat, when it is canonical.
 
     A canonical block is the layout write_graph emits: `num_arcs` lines
-    `a u v c_1 ... c_d` with single spaces, each ending in a newline, and
-    endpoints in 1..num_vertices.  It is checked with one regex search for a
-    newline that does not start such a line, and converted with one
-    json.loads, which also rejects leading zeros.  None sends the caller to
-    its line loop, which reads any other layout and reports the line of
-    every error; text[start - 1] must be a newline.
+    `a u v c_1 ... c_d` with single spaces, each ending in a newline.  Only
+    the layout is checked, by one search for a newline that does not start
+    such a line (a whole-block match needs 3.11's possessive groups, or a
+    greedy repeat whose stack grows with the lines), with the d costs spelt
+    out (faster than `{d}`) once the first line shows 2 + d fields.  One
+    json.loads parses the integers and rejects leading zeros; their values
+    are the caller's to check.  None sends the caller to its line loop,
+    which reads any other layout and names the line of every error;
+    text[start - 1] must be a newline.
     """
-    try:
-        stray = re.compile(r"\n(?!a [0-9]+ [0-9]+(?: [0-9]+){%d}\n|\Z)" % d)
-    except OverflowError:  # d beyond a regex repeat count: no line has that many fields
+    if text.count(" ", start, text.find("\n", start)) != 2 + d:
         return None
-    if stray.search(text, start - 1):
+    if re.compile(r"\n(?!a [0-9]+ [0-9]+" + " [0-9]+" * d + r"\n|\Z)").search(text, start - 1):
         return None
     block = text[start + 2 : -1].replace("\na ", ",").replace(" ", ",")
     try:
         fields = json.loads(f"[{block}]")
     except ValueError:  # a leading zero, or an integer too long for int()
         return None
-    width = 2 + d
-    if len(fields) != width * num_arcs:
-        return None
-    ends = fields[0::width] + fields[1::width]
-    if min(ends) < 1 or max(ends) > num_vertices:
-        return None
-    return fields
+    return fields if len(fields) == (2 + d) * num_arcs else None
 
 
 def write_graph(graph: MosGraph, path: str | Path) -> None:
@@ -186,6 +181,16 @@ class _Header:
             names = [f"c{i + 1}" for i in range(d)]
         return tuple(Objective(n, s) for n, s in zip(names, self.scales or [1] * d))
 
+    def graph(self, edges: tuple[tuple[int, int, Cost], ...], lineno: int) -> MosGraph:
+        """The graph with these edges; an error found here names line lineno."""
+        if self.num_edges < 0:
+            raise Malformed(lineno, "missing problem line")
+        if len(edges) != self.num_edges:
+            raise Malformed(
+                lineno, f"problem line declares {self.num_edges} arcs, file has {len(edges)}"
+            )
+        return MosGraph(self.num_vertices, edges, self.objectives(lineno), self.metadata)
+
 
 def _scan(
     header: _Header, edges: list[tuple[int, int, Cost]], lines: list[str], lineno: int
@@ -230,35 +235,24 @@ def read_graph(path: str | Path) -> MosGraph:
     """Parse the canonical graph format; inverse of write_graph."""
     header = _Header()
     edges: list[tuple[int, int, Cost]] = []
-    # The header goes through the line loop, then the arc block is read in
-    # bulk if it is canonical (see _arc_fields) and line by line otherwise.
+    # The header goes through the line loop, then a canonical arc block (see
+    # _arc_fields) in bulk; any other, or one the header or MosGraph rejects,
+    # through the line loop, which raises the first error on its own line.
     # The pause ends after the MosGraph is built, so the promotion at its end
     # takes the graph's edge tuple too (see collector_paused).
     text = Path(path).read_text(encoding="ascii")
     start = text.find("\na ") + 1
     with collector_paused():
         lineno = _scan(header, edges, text[: start or len(text)].splitlines(), 0)
-        if start:
-            fields = None
-            if header.num_edges >= 0 and not edges:
-                fields = _arc_fields(text, start, header.d, header.num_vertices, header.num_edges)
-            if fields is None:
-                lineno = _scan(header, edges, text[start:].splitlines(), lineno)
-            else:
+        if start and header.num_edges >= 0 and not edges:
+            fields = _arc_fields(text, start, header.d, header.num_edges)
+            if fields is not None:
                 it = iter(fields)
-                edges = list(zip(it, it, zip(*[it] * header.d)))
-                lineno += header.num_edges
-        num_edges = header.num_edges
-        if num_edges < 0:
-            raise Malformed(lineno, "missing problem line")
-        if len(edges) != num_edges:
-            raise Malformed(lineno, f"problem line declares {num_edges} arcs, file has {len(edges)}")
-        return MosGraph(
-            num_vertices=header.num_vertices,
-            edges=tuple(edges),
-            objectives=header.objectives(lineno),
-            metadata=header.metadata,
-        )
+                with suppress(Malformed, NonEdge):
+                    return header.graph(tuple(zip(it, it, zip(*[it] * header.d))), lineno)
+        if start:
+            lineno = _scan(header, edges, text[start:].splitlines(), lineno)
+        return header.graph(tuple(edges), lineno)
 
 
 def read_objectives(path: str | Path) -> tuple[Objective, ...]:

@@ -242,6 +242,20 @@ class TestDimacsBulkArcBlock:
         assert parse_dimacs(d, t).edges == ((1, 2, (40, 5)), (2, 3, (7, 9)), (3, 1, (12, 2)))
         assert seen == [[1, 2, 40, 2, 3, 7, 3, 1, 12], None]
 
+    @pytest.mark.parametrize("bad", ["a 0 2 4", "a 2 0 4", "a 3 1 4", "a 1 3 4"])
+    @pytest.mark.parametrize("declared", [2, 3, 4])
+    def test_endpoint_error_names_file_and_line(self, tmp_path, declared, bad):
+        # An arc count off by one is found only at the end; the endpoint on
+        # line 4 comes first in file order and is the error.
+        p = write(tmp_path, "bad.gr", f"c x\np sp 2 {declared}\na 1 2 4\n{bad}\na 2 1 5\n")
+        for read in (convert._parse_gr, line_by_line_parse_gr, lambda f: parse_dimacs(f, f)):
+            with pytest.raises(Malformed) as err:
+                read(p)
+            assert (err.value.line_number, err.value.reason) == (
+                4,
+                "bad.gr: arc endpoint outside 1..2",
+            )
+
 
 class TestElevation:
     def test_scale_from_max_decimals(self, tmp_path):

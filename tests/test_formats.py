@@ -4,6 +4,7 @@ from __future__ import annotations
 import gc
 import random
 import string
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -476,6 +477,69 @@ class TestBulkArcBlock:
             with pytest.raises(Malformed) as err:
                 read(p)
             assert (err.value.line_number, err.value.reason) == (4, reason)
+
+    @pytest.mark.parametrize("bad", ["a 0 2 4", "a 2 0 4", "a 3 1 4", "a 1 3 4"])
+    @pytest.mark.parametrize(
+        "head",
+        [
+            "c objectives a\np mosp 2 3 1",
+            "c objectives a,b\np mosp 2 3 1",
+            "c objectives a\np mosp 2 2 1",
+            "c objectives a\np mosp 2 4 1",
+        ],
+    )
+    def test_endpoint_error_comes_before_errors_found_at_the_end(
+        self, tmp_path, monkeypatch, head, bad
+    ):
+        # With the declared count right, the block is parsed in bulk and
+        # rejected by MosGraph or by the objective names; the line loop then
+        # names the bad endpoint, the first error in file order.
+        seen = []
+        bulk = formats._arc_fields
+        monkeypatch.setattr(formats, "_arc_fields", lambda *a: seen.append(bulk(*a)) or seen[-1])
+        p = tmp_path / "g.gr"
+        p.write_text(f"{head}\na 1 2 4\n{bad}\na 2 1 5\n")
+        for read in (read_graph, line_by_line_read_graph):
+            with pytest.raises(Malformed) as err:
+                read(p)
+            assert (err.value.line_number, err.value.reason) == (
+                4,
+                "arc endpoint out of range 1..2",
+            )
+        assert (seen[0] is not None) == ("p mosp 2 3 1" in head)
+
+    def test_huge_objective_count_builds_no_pattern(self, tmp_path):
+        p = tmp_path / "g.gr"
+        p.write_text("p mosp 2 1 4000000000\na 1 2 3 4\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(Malformed) as err:
+                read_graph(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (err.value.line_number, err.value.reason) == (
+            2,
+            "expected 'a u v' plus 4000000000 costs, got 4 fields",
+        )
+        assert peak < 1 << 20
+
+    def test_layout_check_memory_does_not_grow_with_lines(self):
+        # The last line has a double space, so the check runs over the whole
+        # block and returns None before any integer is parsed.
+        def peak(lines: int) -> int:
+            text = f"p mosp 2 {lines} 2\n" + "a 1 2 3 4\n" * (lines - 1) + "a 1 2  3\n"
+            start = text.find("\na ") + 1
+            assert formats._arc_fields(text, start, 2, lines) is None  # compiles the pattern
+            tracemalloc.start()
+            try:
+                assert formats._arc_fields(text, start, 2, lines) is None
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(1140), peak(9120)
+        assert large < small + 4096, (small, large)
 
 
 class TestQueryFormat:
