@@ -124,7 +124,7 @@ def _block_at(blocks: list[SolutionSet], eps: Epsilon) -> SolutionSet | None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    failures = 0
+    violations = failures = 0
     ran = False
     if args.solutions:
         if not args.graph or not args.queries:
@@ -137,9 +137,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for ss in sets:
             report = protocol.verify_solutions(graph, ss.query, ss)
             for violation in report.violations:
-                failures += 1
+                violations += 1
                 print(f"query {ss.query.index} eps={ss.epsilon.display()}: {violation}")
-        print(f"feasibility: {len(sets)} solution sets, {failures} violations")
+        print(f"feasibility: {len(sets)} solution sets, {violations} violations")
     if args.exact or args.approx:
         if not (args.exact and args.approx and args.eps):
             print("error: coverage needs --exact, --approx and --eps", file=sys.stderr)
@@ -177,7 +177,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not ran:
         print("error: nothing to verify; pass --solutions or --exact/--approx", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_VERIFICATION if failures else EXIT_OK
+    return EXIT_VERIFICATION if violations or failures else EXIT_OK
 
 
 def _emit(text: str, out: str | None) -> None:

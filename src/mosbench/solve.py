@@ -5,16 +5,20 @@ ordering of f = g + h, with the dimensionality-reduction dominance device:
 because labels of one vertex leave the open list in lexicographic order,
 their first f component is non-decreasing, so dominance among them only
 needs the (d-1)-suffix of g.  For d = 2 that suffix is a single scalar per
-vertex.  Heap keys are single big integers packing (f, vertex, parent's
-closed id), which keeps comparisons cheap and memory flat.  Labels that tie
-on (f, vertex) have equal g, and closed ids grow in expansion order, so the
-pop order is the order of their parents' expansions.  Each expansion holds
-back its smallest child and the next pop is a heappushpop of it, which
-returns the same label a push and a pop would, often without moving
-anything in the heap.  A label that becomes dominated after its push stays
-in the heap until it is popped and discarded; nothing rebuilds the heap, so
-the open list grows with the pushes a search makes.  Arcs are read from the
-graph's per-vertex rows of its own edge tuples (MosGraph.out_arcs).
+vertex.  The target is an ordinary vertex (h = 0 there, so f = g): its
+closed set is the target bound (g2min[tgt] at d = 2, its suffix store
+otherwise), and a target label that passes the common prune test is
+recorded, not expanded, so a one-vertex query records its zero cost and
+ends.  Heap keys are single big integers packing (f, vertex, parent's closed
+id), which keeps comparisons cheap and memory flat.  Labels that tie on (f,
+vertex) have equal g, and closed ids grow in expansion order, so the pop
+order is the order of their parents' expansions.  Each expansion holds back
+its smallest child and the next pop is a heappushpop of it, which returns
+the same label a push and a pop would, often without moving anything in the
+heap.  A label that becomes dominated after its push stays in the heap until
+it is popped and discarded; nothing rebuilds the heap, so the open list
+grows with the pushes a search makes.  Arcs are read from the graph's
+per-vertex rows of its own edge tuples (MosGraph.out_arcs).
 
 The search only ever computes the exact Pareto front, in lexicographic
 order.  An epsilon-approximate front is derived from it by greedy
@@ -116,7 +120,9 @@ def _search_bi(
     heur: HeuristicTable,
     deadline: float | None,
 ) -> list[tuple[Cost, tuple[int, ...]]]:
-    """Specialized d=2 search; the per-vertex closed set is one scalar."""
+    """Specialized d=2 search; the per-vertex closed set is one scalar.
+
+    g2min[tgt] is the target bound; a one-vertex query is no special case."""
     n = graph.num_vertices
     src, tgt = query.source, query.target
     arcs = graph.out_arcs
@@ -154,23 +160,21 @@ def _search_bi(
         key = pushpop(heap, held) if held else pop(heap)
         held = 0
         pops += 1
-        if deadline is not None and not (pops & 2047) and monotonic() > deadline:
-            raise SearchTimeout(f"d=2 search past its deadline after {pops} pops")
-        pid = key & p_mask
+        if deadline is not None and not (pops & 1023) and monotonic() > deadline:
+            raise SearchTimeout(f"search past its deadline after {pops} pops")
         rest = key >> p_bits
         v = rest & v_mask
         rest >>= v_bits
         f2 = rest & f2_mask
         g2 = f2 - h2[v]
-        if v == tgt:
-            if g2 >= tbound:
-                continue
-            tbound = g2
-            sols.append((((rest >> f2_bits) - h1[tgt], g2), pid))
-            continue
         if g2 >= g2min[v] or f2 >= tbound:
             continue
         g2min[v] = g2
+        pid = key & p_mask
+        if v == tgt:
+            tbound = g2
+            sols.append((((rest >> f2_bits) - h1[tgt], g2), pid))
+            continue
         cid = len(closed_v)
         closed_v.append(v)
         closed_p.append(pid)
@@ -203,7 +207,9 @@ def _search_multi(
     heur: HeuristicTable,
     deadline: float | None,
 ) -> list[tuple[Cost, tuple[int, ...]]]:
-    """General-d packed search; shares its contract with _search_bi."""
+    """General-d packed search; shares its contract with _search_bi.
+
+    The target's suffix store is the target bound; no one-vertex branch."""
     n = graph.num_vertices
     d = graph.d
     src, tgt = query.source, query.target
@@ -287,21 +293,18 @@ def _search_multi(
         pops += 1
         if deadline is not None and not (pops & 1023) and monotonic() > deadline:
             raise SearchTimeout(f"search past its deadline after {pops} pops")
-        pid = key & p_mask
         rest = key >> p_bits
         v = rest & v_mask
         f = unpack_f(rest >> v_bits)
         g = [f[k] - hcols[k][v] for k in range(d)]
         gsuf = tuple(g[1:])
-        if v == tgt:
-            if dominated(tgt, gsuf):
-                continue
-            insert(tgt, gsuf)
-            sols.append((tuple(g), pid))
-            continue
         if dominated(v, gsuf) or dominated(tgt, tuple(f[1:])):
             continue
         insert(v, gsuf)
+        pid = key & p_mask
+        if v == tgt:
+            sols.append((tuple(g), pid))
+            continue
         cid = len(closed_v)
         closed_v.append(v)
         closed_p.append(pid)
@@ -380,15 +383,11 @@ def solve_exact(
         raise TargetOutOfRange(
             f"heuristic was built for target {heuristic.target}, query wants {query.target}"
         )
-    d = graph.d
-    if query.source == query.target:
-        entries = (SolutionEntry((0,) * d, (query.source,)),)
-        return SolutionSet(query, Epsilon.zero(d), entries)
     deadline = None if time_limit_ms is None else monotonic() + time_limit_ms / 1000.0
-    search = _search_bi if d == 2 else _search_multi
+    search = _search_bi if graph.d == 2 else _search_multi
     found = search(graph, query, heuristic, deadline)
     entries = tuple(SolutionEntry(cost, path) for cost, path in found)
-    return SolutionSet(query, Epsilon.zero(d), entries)
+    return SolutionSet(query, Epsilon.zero(graph.d), entries)
 
 
 def _eps_front(exact: SolutionSet, eps: Epsilon) -> SolutionSet:

@@ -415,6 +415,32 @@ class TestVerify:
         assert bad == EXIT_VERIFICATION
         assert "uncovered exact cost" in capsys.readouterr().out
 
+    def test_feasibility_violations_are_not_coverage_failures(self, tmp_path, capsys):
+        solve_small(tmp_path)
+        first = read_solutions(tmp_path / "s.sol")[0]
+        cost = list(first.entries[0].cost)
+        cost[0] += 1
+        bad = SolutionSet(
+            first.query,
+            first.epsilon,
+            (SolutionEntry(tuple(cost), first.entries[0].path),) + first.entries[1:],
+        )
+        graph = read_graph(tmp_path / "g.gr")
+        write_solutions([bad], tmp_path / "bad.sol", objectives=graph.objectives)
+        capsys.readouterr()
+        sol = tmp_path / "s.sol"
+        code = run_main(
+            [
+                "verify", "--graph", tmp_path / "g.gr", "--queries", tmp_path / "q.txt",
+                "--solutions", tmp_path / "bad.sol",
+                "--exact", sol, "--approx", sol, "--eps", "0.1",
+            ]
+        )
+        assert code == EXIT_VERIFICATION
+        out = capsys.readouterr().out.splitlines()
+        assert out[-2] == "feasibility: 1 solution sets, 1 violations"
+        assert out[-1] == "coverage at eps=0.1: 1 pairs, 0 failures"
+
     def test_coverage_pairs_eps0_exact_with_approx_at_eps(self, tmp_path, capsys):
         # One file, four blocks per query: the exact side is its eps=0 block
         # and the approximate side the block at --eps, not the last one.

@@ -30,9 +30,11 @@ from mosbench.errors import (
     TargetOutOfRange,
 )
 from mosbench.generate import GridSpec, generate_grid
-from mosbench.protocol import run_benchmark
+from mosbench.protocol import STATUS_SOLVED, run_benchmark
 from mosbench.solve import (
     _eps_front,
+    _search_bi,
+    _search_multi,
     brute_force_pareto,
     dijkstra_bound,
     ideal_point_heuristic,
@@ -251,9 +253,12 @@ class TestIdealPointHeuristic:
                 assert hu[k] <= cost[k] + hv[k]
 
     def test_target_is_zero(self):
+        # The searches rely on f = g at the target, for every objective.
         rng = random.Random(74)
-        g = random_graph(rng, 12, 0.4, 2)
-        assert tuple(col[7] for col in ideal_point_heuristic(g, 7).columns) == (0, 0)
+        for d in range(1, 5):
+            g = random_graph(rng, 12, 0.4, d, cost_low=0)
+            for t in range(1, 13):
+                assert {col[t] for col in ideal_point_heuristic(g, t).columns} == {0}
 
 
 class TestExactSearch:
@@ -264,11 +269,23 @@ class TestExactSearch:
         assert ss.entries[0].path == (1, 2, 4)
         assert ss.entries[1].path == (1, 3, 4)
 
-    def test_source_equals_target(self):
-        g, _ = diamond_graph()
-        ss = solve_exact(g, Query(3, 3, 0))
-        assert [e.cost for e in ss.entries] == [(0, 0)]
-        assert ss.entries[0].path == (3,)
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("v", [1, 3, 4])
+    def test_source_equals_target(self, d, v):
+        # 3 lies on a zero-cost cycle with 2, and 4 has a zero-cost self-loop.
+        edges = ((1, 2, 1), (2, 3, 0), (3, 2, 0), (3, 4, 2), (4, 4, 0), (4, 1, 1))
+        g = MosGraph(
+            4,
+            tuple((u, w, (c,) * d) for u, w, c in edges),
+            tuple(Objective(f"c{k}") for k in range(d)),
+        )
+        q = Query(v, v, 0)
+        want = (SolutionEntry((0,) * d, (v,)),)
+        assert solve_exact(g, q).entries == want
+        assert brute_force_pareto(g, q).entries == want
+        sets, records = run_benchmark(g, [q])
+        assert [s.entries for s in sets] == [want] * len(records)
+        assert {(r.status, r.cardinality) for r in records} == {(STATUS_SOLVED, 1)}
 
     def test_disconnected_is_empty(self):
         g = line_graph([(1, 1), (1, 1)])
@@ -316,17 +333,22 @@ class TestExactSearch:
             assert got == want
 
     def test_general_path_agrees_on_two_objectives(self):
-        from mosbench.solve import _search_multi
-
+        # Costs and witness paths, with a random target that has out-arcs, a
+        # self-loop and a zero-cost in-arc; the source may be the target.
         rng = random.Random(78)
-        for _ in range(20):
-            g = random_graph(rng, rng.randint(2, 12), 0.3, 2)
-            q = Query(1, g.num_vertices, 0)
-            h = ideal_point_heuristic(g, q.target)
-            multi = _search_multi(g, q, h, None)
-            assert [c for c, _ in multi] == [
-                e.cost for e in solve_exact(g, q).entries
-            ]
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            g = random_graph(rng, n, 0.3, 2, cost_low=0)
+            t = rng.randint(1, n)
+            extra = (
+                (t, t, (rng.randint(0, 3), rng.randint(0, 3))),
+                (rng.randint(1, n), t, (0, 0)),
+                (t, rng.randint(1, n), (rng.randint(0, 9), rng.randint(0, 9))),
+            )
+            g = MosGraph(n, g.edges + extra, g.objectives)
+            q = Query(rng.randint(1, n), t, 0)
+            h = ideal_point_heuristic(g, t)
+            assert _search_multi(g, q, h, None) == _search_bi(g, q, h, None)
 
     def test_parallel_edges(self):
         g = MosGraph(
