@@ -143,6 +143,17 @@ class MosGraph:
                 for hop, ds in deltas.items()
             }
 
+    def _witness_memo(self, query: Query) -> tuple[dict, list]:
+        # verify_solutions' memo of one query's witnesses on this graph: the
+        # outcomes it has entered by (path, stored cost), and the last block
+        # whose new outcomes are not entered yet.  Only the last query's
+        # memo is held: asking for another query (another index or other
+        # endpoints) replaces it, so it keeps at most one query's witnesses.
+        held = self.__dict__.get("_witnesses")
+        if held is None or held[0] != query:
+            held = self.__dict__["_witnesses"] = (query, {}, [])
+        return held[1], held[2]
+
     @cached_property
     def _columns(self) -> tuple[itemgetter, ...]:
         # One getter per objective, so that cost vectors sum column by

@@ -186,6 +186,14 @@ def verify_solutions(
     raises DimensionMismatch.  Dominance is checked against the set's
     sort-and-sweep Pareto front; only an entry off that front is compared
     pairwise, in entry order, to name the first entry that dominates it.
+
+    A witness is costed once per (path, stored cost) pair of the query: the
+    graph keeps the outcomes of the last query verified on it, so the
+    copies an epsilon block holds of its exact block's entries reuse them
+    with their own entry index.  A block's outcomes are entered in that
+    memo only when a later block of the same query comes, so a query with
+    one block pays no hashing of its paths.  Verifying another query drops
+    them.
     """
     v: list[str] = []
     d = graph.d
@@ -208,6 +216,14 @@ def verify_solutions(
             if i != j and dominates(cj, ci):
                 v.append(f"DominanceViolation: entry {i} is dominated by entry {j}")
                 break
+    settled, unentered = graph._witness_memo(query)
+    for block, new, bad in unentered:
+        for i in new:
+            e = block.entries[i]
+            settled[e.path, e.cost] = bad.get(i, ())
+    unentered.clear()
+    fresh: list[int] = []
+    faults: dict[int, tuple[str, ...]] = {}
     for i, entry in enumerate(solset.entries):
         if entry.path is None:
             continue
@@ -218,16 +234,28 @@ def verify_solutions(
         if p and p[-1] != query.target:
             v.append(f"PathEnd: entry {i} ends at {p[-1]}, query target is {query.target}")
             continue
-        try:
-            rc = path_cost(graph, p)
-        except NonEdge as exc:
-            v.append(f"PathBroken: entry {i}: {exc}")
-            continue
-        if rc != entry.cost and not _path_can_cost(graph, p, entry.cost, rc):
-            v.append(
-                f"CostMismatch: entry {i} stores {entry.cost}, path recomputes to {rc}"
-            )
+        fault = settled.get((p, entry.cost)) if settled else None
+        if fault is None:
+            fault = _witness_fault(graph, p, entry.cost)
+            fresh.append(i)
+            if fault:
+                faults[i] = fault
+        if fault:
+            v.append(f"{fault[0]}: entry {i}{fault[1]}")
+    unentered.append((solset, fresh, faults))
     return VerificationReport(v)
+
+
+def _witness_fault(graph: MosGraph, path: Sequence[int], cost: Cost) -> tuple[str, ...]:
+    """() when some choice of arcs along path sums to cost; otherwise the
+    violation's kind and its text after the entry index."""
+    try:
+        rc = path_cost(graph, path)
+    except NonEdge as exc:
+        return ("PathBroken", f": {exc}")
+    if rc != cost and not _path_can_cost(graph, path, cost, rc):
+        return ("CostMismatch", f" stores {cost}, path recomputes to {rc}")
+    return ()
 
 
 def verify_coverage(

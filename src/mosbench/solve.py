@@ -371,8 +371,9 @@ def solve_exact(
 
     Entries arrive already sorted lexicographically by cost (the order the
     search finds them).  A disconnected query gives an empty set.  A
-    time_limit_ms of None or inf means no limit; NaN or <= 0 raises
-    ValueError.
+    search that ends past time_limit_ms raises SearchTimeout, however few
+    labels it popped.  A time_limit_ms of None or inf means no limit; NaN
+    or <= 0 raises ValueError.
     """
     _check_time_limit(time_limit_ms, "time_limit_ms")
     _check_vertex(graph, query.source, "source")
@@ -386,6 +387,10 @@ def solve_exact(
     deadline = None if time_limit_ms is None else monotonic() + time_limit_ms / 1000.0
     search = _search_bi if graph.d == 2 else _search_multi
     found = search(graph, query, heuristic, deadline)
+    # The searches read the clock every 1024 pops, so a shorter search
+    # would never see its deadline: a search that ends past it gives no front.
+    if deadline is not None and monotonic() > deadline:
+        raise SearchTimeout("search past its deadline when it ended")
     entries = tuple(SolutionEntry(cost, path) for cost, path in found)
     return SolutionSet(query, Epsilon.zero(graph.d), entries)
 

@@ -1,16 +1,20 @@
 """Protocol: benchmark runs, verification, descriptive statistics, CSV."""
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
 import signal
+import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mosbench.convert import parse_dimacs
 from mosbench.core import (
     Epsilon,
     MosGraph,
@@ -32,6 +36,7 @@ from mosbench.errors import (
     NoRecords,
     QueryMismatch,
 )
+from mosbench.formats import read_graph, read_solutions, write_graph, write_solutions
 from mosbench.generate import GridSpec, NetMakerSpec, generate_grid, generate_netmaker
 from mosbench.protocol import (
     SOLVER_ID,
@@ -156,6 +161,15 @@ class TestRunBenchmark:
         assert len(records) == 4
         assert all(r.status == STATUS_TIMEOUT for r in records)
         assert all(r.cardinality == 0 for r in records)
+
+    def test_tiny_timeout_times_out_every_epsilon(self):
+        # Searches this short end before their first in-loop clock check.
+        g, q = diamond_graph()
+        sets, records = run_benchmark(g, [q, Query(3, 3, 1)], timeout_ms=1e-6)
+        assert sets == []
+        assert [(r.query_index, r.status) for r in records] == [
+            (i, STATUS_TIMEOUT) for i in (0, 1) for _ in EpsilonGrid().values
+        ]
 
     def test_explicit_epsilon_sequence(self):
         g, q = diamond_graph()
@@ -454,6 +468,231 @@ class TestVerifySolutions:
             q, ss.epsilon, tuple(SolutionEntry(e.cost, None) for e in ss.entries)
         )
         assert verify_solutions(g, q, stripped).clean
+
+
+def perfbench_workloads():
+    """perfbench/workloads.py, which builds the road workload's DIMACS pairs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def workload_sols(tmp_path_factory):
+    """Small .gr/.sol files as the two perfbench workloads write them.
+
+    name -> (graph file, the .sol's blocks read back in file order):
+    a 12x12 d=2 grid on the default epsilon grid, a road-like multigraph
+    with 15% bypass arcs at epsilon 0 (the road workload), and the same
+    road queries on the default grid, where the epsilon blocks repeat
+    witnesses whose stored cost uses a bypass arc.
+    """
+    work = tmp_path_factory.mktemp("workloads")
+    wl = perfbench_workloads()
+    dist, time = work / "road.dist.gr", work / "road.time.gr"
+    wl.write_road_pair(8, 0.15, 2001, dist, time)
+    road = parse_dimacs(dist, time)
+    road_queries = [Query(s, t, j) for j, (s, t) in enumerate(wl.road_queries(8, 8, 2001))]
+    grid, grid_query = generate_grid(GridSpec(k=12, m=12, d=2, seed=2001))
+    cases = {
+        "grid": (grid, [grid_query], EpsilonGrid()),
+        "road": (road, road_queries, EpsilonGrid((Fraction(0),))),
+        "road-multi-eps": (road, road_queries, EpsilonGrid()),
+    }
+    out = {}
+    for name, (graph, queries, grid_eps) in cases.items():
+        gr, sol = work / f"{name}.gr", work / f"{name}.sol"
+        write_graph(graph, gr)
+        sets, records = run_benchmark(graph, queries, grid_eps)
+        assert all(r.status == STATUS_SOLVED for r in records)
+        write_solutions(sets, sol, objectives=graph.objectives)
+        out[name] = (gr, read_solutions(sol, queries))
+    return out
+
+
+TAMPER_KINDS = ("cost", "vertex", "cut", "empty", "reverse", "duplicate")
+
+
+def tampered_copy(rng, sets, num_vertices):
+    """Copies of a .sol's blocks with 1-4 entries tampered, every block shuffled.
+
+    Each tampering picks one entry of one query and a scope: the query's
+    exact block only, one epsilon block only, or every block of the query
+    that holds the entry.  Every copy in scope gets the same change, so a
+    tampered witness repeats across blocks as an untouched one does: a cost
+    component moved by +-1, one path vertex replaced by any of 0..n+1, the
+    path cut to a proper prefix, emptied or reversed, or the entry
+    duplicated in its block.
+    """
+    blocks = [list(ss.entries) for ss in sets]
+    by_query: dict[int, list[int]] = {}
+    for b, ss in enumerate(sets):
+        by_query.setdefault(ss.query.index, []).append(b)
+    for _ in range(rng.randint(1, 4)):
+        qblocks = by_query[rng.choice(sorted(by_query))]
+        exact, eps_blocks = qblocks[0], qblocks[1:]
+        assert sets[exact].epsilon.is_zero
+        scope = rng.choice(("exact", "eps", "both"))
+        pool = [b for b in (eps_blocks if scope == "eps" else [exact]) if blocks[b]]
+        if not pool:
+            continue
+        b = rng.choice(pool)
+        entry = rng.choice(blocks[b])
+        holders = [c for c in qblocks if entry in blocks[c]]
+        targets = holders if scope == "both" else [b]
+        kind = rng.choice(TAMPER_KINDS)
+        cost, path = entry.cost, entry.path
+        if kind == "cost":
+            k = rng.randrange(len(cost))
+            cost = cost[:k] + (cost[k] + rng.choice((-1, 1)),) + cost[k + 1 :]
+        elif kind == "vertex" and path:
+            j = rng.randrange(len(path))
+            path = path[:j] + (rng.randint(0, num_vertices + 1),) + path[j + 1 :]
+        elif kind == "cut":
+            path = path[: rng.randint(1, max(1, len(path) - 1))]
+        elif kind == "empty":
+            path = ()
+        elif kind == "reverse":
+            path = path[::-1]
+        changed = SolutionEntry(cost, path)
+        for c in targets:
+            entries = blocks[c]
+            i = entries.index(entry)
+            if kind == "duplicate":
+                entries.insert(i, entry)
+            else:
+                entries[i] = changed
+    for entries in blocks:
+        rng.shuffle(entries)
+    return [SolutionSet(ss.query, ss.epsilon, tuple(e)) for ss, e in zip(sets, blocks)]
+
+
+def fresh_graph_reports(gr, blocks):
+    """verify_solutions with no memo to reuse: each block on a freshly read graph."""
+    return [verify_solutions(read_graph(gr), ss.query, ss) for ss in blocks]
+
+
+def one_graph_reports(gr, blocks):
+    """verify_solutions as mosbench verify runs it: one graph, blocks in order."""
+    graph = read_graph(gr)
+    return [verify_solutions(graph, ss.query, ss) for ss in blocks]
+
+
+def held_witnesses(graph, query):
+    """The (path, cost) pairs whose outcomes the graph keeps for query."""
+    settled, unentered = graph._witness_memo(query)
+    held = set(settled)
+    for block, new, _ in unentered:
+        held |= {(block.entries[i].path, block.entries[i].cost) for i in new}
+    return held
+
+
+def same_reports(got, want):
+    assert [r.violations for r in got] == [r.violations for r in want]
+    assert [r.clean for r in got] == [r.clean for r in want]
+
+
+class TestWitnessMemo:
+    @pytest.mark.parametrize("name", ["grid", "road", "road-multi-eps"])
+    def test_untouched_files_are_clean(self, workload_sols, name):
+        gr, sets = workload_sols[name]
+        assert all(r.clean for r in one_graph_reports(gr, sets))
+
+    @pytest.mark.parametrize("name", ["grid", "road", "road-multi-eps"])
+    def test_tampered_copies_match_fresh_graph_oracle(self, workload_sols, name):
+        gr, sets = workload_sols[name]
+        n = read_graph(gr).num_vertices
+        rng = random.Random(f"memo-{name}")
+        dirty = 0
+        for _ in range(40):
+            blocks = tampered_copy(rng, sets, n)
+            want = fresh_graph_reports(gr, blocks)
+            same_reports(one_graph_reports(gr, blocks), want)
+            dirty += sum(not r.clean for r in want)
+        assert dirty >= 40
+
+    def test_each_distinct_witness_is_settled_once_per_query(self, workload_sols, monkeypatch):
+        import mosbench.protocol
+
+        gr, sets = workload_sols["road-multi-eps"]
+        graph = read_graph(gr)
+        witness, can_cost = mosbench.protocol._witness_fault, mosbench.protocol._path_can_cost
+        settled, walked = [], []
+
+        def counted_witness(g, path, cost):
+            settled.append((path, cost))
+            return witness(g, path, cost)
+
+        def counted_can_cost(g, path, cost, base):
+            walked.append((path, cost))
+            return can_cost(g, path, cost, base)
+
+        monkeypatch.setattr(mosbench.protocol, "_witness_fault", counted_witness)
+        monkeypatch.setattr(mosbench.protocol, "_path_can_cost", counted_can_cost)
+        assert all(verify_solutions(graph, ss.query, ss).clean for ss in sets)
+        pairs = {(ss.query, e.path, e.cost) for ss in sets for e in ss.entries}
+        assert len(settled) == len(pairs) < sum(ss.cardinality for ss in sets)
+        bypass = {(q, p, c) for q, p, c in pairs if path_cost(graph, p) != c}
+        assert len(walked) == len(bypass) > 0
+        # The epsilon blocks repeat some of those witnesses: the memo hits.
+        eps_bypass = {
+            (ss.query, e.path, e.cost) for ss in sets if not ss.epsilon.is_zero for e in ss.entries
+        } & bypass
+        assert eps_bypass
+
+    def test_interleaved_queries_match_fresh_graph_oracle(self, workload_sols):
+        gr, sets = workload_sols["road-multi-eps"]
+        n = read_graph(gr).num_vertices
+        rng = random.Random("memo-interleaved")
+        for _ in range(20):
+            blocks = tampered_copy(rng, sets, n)
+            q0, q1 = rng.sample(sorted({ss.query.index for ss in blocks}), 2)
+            first = [ss for ss in blocks if ss.query.index == q0]
+            second = [ss for ss in blocks if ss.query.index == q1]
+            order = [ss for pair in zip(first, second) for ss in pair] + first
+            same_reports(one_graph_reports(gr, order), fresh_graph_reports(gr, order))
+
+    def test_same_index_with_other_endpoints_is_another_query(self):
+        # Query 0 of one file and query 0 of another share an index only.
+        g, q = diamond_graph()
+        ss = solve_exact(g, q)
+        assert verify_solutions(g, q, ss).clean
+        other = Query(2, 4, 0)
+        moved = SolutionSet(other, ss.epsilon, ss.entries)
+        assert verify_solutions(g, other, moved).violations == [
+            "PathStart: entry 0 starts at 1, query source is 2",
+            "PathStart: entry 1 starts at 1, query source is 2",
+        ]
+        assert held_witnesses(g, other) == set()
+
+    def test_graph_holds_only_the_last_querys_witnesses(self, workload_sols):
+        gr, sets = workload_sols["road-multi-eps"]
+        graph = read_graph(gr)
+        for ss in sets:
+            verify_solutions(graph, ss.query, ss)
+        last = sets[-1].query
+        held = {(e.path, e.cost) for ss in sets if ss.query == last for e in ss.entries}
+        assert held_witnesses(graph, last) == held
+
+    def test_memory_held_is_bounded_by_one_query(self, workload_sols):
+        gr, sets = workload_sols["road-multi-eps"]
+        queries = sorted({ss.query for ss in sets})
+
+        def retained(blocks) -> int:
+            graph = read_graph(gr)
+            graph._min_edge_cost, graph._parallel_arcs, graph._columns
+            tracemalloc.start()
+            try:
+                for ss in blocks:
+                    verify_solutions(graph, ss.query, ss)
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        per_query = [retained([ss for ss in sets if ss.query == q]) for q in queries]
+        assert retained(sets) <= max(per_query) + 1024, per_query
 
 
 class TestVerifyCoverage:

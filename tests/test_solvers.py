@@ -527,6 +527,21 @@ class TestTimeout:
         with pytest.raises(SearchTimeout):
             solve_exact(g, q, time_limit_ms=0.01)
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_tiny_limit_stops_a_short_search(self, d):
+        # Fewer than 1024 pops: the clock is read only when the search ends.
+        g, q = generate_grid(GridSpec(k=10, m=10, d=d, seed=7))
+        assert solve_exact(g, q).entries
+        with pytest.raises(SearchTimeout):
+            solve_exact(g, q, time_limit_ms=0.001)
+
+    def test_tiny_limit_stops_a_one_vertex_query(self):
+        g, _ = diamond_graph()
+        q = Query(3, 3, 0)
+        assert solve_exact(g, q).cardinality == 1
+        with pytest.raises(SearchTimeout):
+            solve_exact(g, q, time_limit_ms=1e-6)
+
     def test_no_limit_completes(self):
         g, q = generate_grid(GridSpec(k=12, m=12, d=2, seed=7))
         ss = solve_exact(g, q)
