@@ -139,6 +139,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
             for violation in report.violations:
                 violations += 1
                 print(f"query {ss.query.index} eps={ss.epsilon.display()}: {violation}")
+        # Each eps>0 block must cover its query's eps=0 block in the same file.
+        for idx, blocks in _blocks_by_query(sets).items():
+            exact = next((ss for ss in blocks if ss.epsilon.is_zero), None)
+            if exact is None:
+                continue
+            for ss in blocks:
+                if ss.epsilon.is_zero:
+                    continue
+                _, uncovered = protocol.verify_coverage(exact, ss, ss.epsilon)
+                failures += len(uncovered)
+                for c in uncovered:
+                    print(f"query {idx} eps={ss.epsilon.display()}: uncovered exact cost {c}")
         print(f"feasibility: {len(sets)} solution sets, {violations} violations")
     if args.exact or args.approx:
         if not (args.exact and args.approx and args.eps):
@@ -155,25 +167,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
         eps = Epsilon.from_text(args.eps, d)
         exact_by_idx = _blocks_by_query(exact_sets)
         approx_by_idx = _blocks_by_query(approx_sets)
-        pairs = 0
+        pairs = failed = 0
         for idx, blocks in exact_by_idx.items():
             ex = _block_at(blocks, Epsilon.zero(d))
             if ex is None:
-                failures += 1
+                failed += 1
                 print(f"query {idx}: no eps=0 set in the exact file")
                 continue
             ap = _block_at(approx_by_idx.get(idx, []), eps)
             if ap is None:
-                failures += 1
+                failed += 1
                 print(f"query {idx}: no matching approximate set")
                 continue
             pairs += 1
             ok, uncovered = protocol.verify_coverage(ex, ap, eps)
             if not ok:
-                failures += 1
+                failed += 1
                 for c in uncovered:
                     print(f"query {idx}: uncovered exact cost {c}")
-        print(f"coverage at eps={eps.display()}: {pairs} pairs, {failures} failures")
+        print(f"coverage at eps={eps.display()}: {pairs} pairs, {failed} failures")
+        failures += failed
     if not ran:
         print("error: nothing to verify; pass --solutions or --exact/--approx", file=sys.stderr)
         return EXIT_USAGE
@@ -333,7 +346,7 @@ def main(argv: list[str] | None = None) -> int:
     except MosbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter, le, lt, mul, sub
+from operator import itemgetter, le, lt, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -389,45 +389,11 @@ def _path_can_cost(graph: MosGraph, path: Sequence[int], cost: Cost, base: Cost)
     return zero in level
 
 
-def _check_pair(p: Sequence[int], q: Sequence[int]) -> None:
-    if len(p) != len(q):
-        raise DimensionMismatch(f"cost vectors of length {len(p)} and {len(q)}")
-
-
 def dominates(p: Sequence[int], q: Sequence[int]) -> bool:
     """True when p <= q componentwise and p != q (Pareto dominance)."""
-    _check_pair(p, q)
+    if len(p) != len(q):
+        raise DimensionMismatch(f"cost vectors of length {len(p)} and {len(q)}")
     return all(map(le, p, q)) and any(map(lt, p, q))
-
-
-def weakly_dominates(p: Sequence[int], q: Sequence[int]) -> bool:
-    """True when p <= q componentwise (dominated-or-equal)."""
-    _check_pair(p, q)
-    return all(map(le, p, q))
-
-
-def eps_dominates(p: Sequence[int], q: Sequence[int], eps: Epsilon) -> bool:
-    """True when p_i <= (1 + eps_i) * q_i for all i, strictly for some i.
-
-    With eps = 0 this reduces to dominates().  Evaluated exactly over the
-    integers: with (num_i, den_i) the fraction form of 1 + eps_i, the scaled
-    vector (p_i * den_i) must be <= (num_i * q_i) in every component and
-    differ from it.
-    """
-    _check_pair(p, q)
-    if eps.d != len(p):
-        raise DimensionMismatch(
-            f"epsilon has {eps.d} components, vectors have {len(p)}"
-        )
-    nums, dens = zip(*eps.ratios())
-    a = tuple(map(mul, p, dens))
-    t = tuple(map(mul, nums, q))
-    return all(map(le, a, t)) and a != t
-
-
-def eps_covers(p: Sequence[int], q: Sequence[int], eps: Epsilon) -> bool:
-    """eps_dominates or equality: p is an acceptable stand-in for q."""
-    return tuple(p) == tuple(q) or eps_dominates(p, q, eps)
 
 
 def pareto_filter(costs: Iterable[Cost]) -> list[Cost]:

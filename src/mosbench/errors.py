@@ -73,10 +73,6 @@ class TargetOutOfRange(MosbenchError):
     """A query endpoint is not a vertex of the graph."""
 
 
-class InstanceTooLarge(MosbenchError):
-    """Exhaustive path enumeration exceeded its safety cap."""
-
-
 class ExhaustedPairs(MosbenchError):
     """More distinct query pairs were requested than the endpoint pools can supply."""
 

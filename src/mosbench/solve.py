@@ -35,10 +35,9 @@ from dataclasses import dataclass
 from operator import ge, le, mul
 from time import monotonic
 
-from .core import Cost, Epsilon, MosGraph, Query, SolutionEntry, SolutionSet, pareto_filter
+from .core import Cost, Epsilon, MosGraph, Query, SolutionEntry, SolutionSet
 from .errors import (
     DimensionMismatch,
-    InstanceTooLarge,
     SearchTimeout,
     TargetOutOfRange,
 )
@@ -425,58 +424,3 @@ def solve_approx(graph: MosGraph, query: Query, eps: Epsilon) -> SolutionSet:
     is a true path cost.  With eps = 0 the output equals solve_exact."""
     _check_eps(eps, graph.d)
     return _eps_front(solve_exact(graph, query), eps)
-
-
-def brute_force_pareto(
-    graph: MosGraph, query: Query, max_paths: int = 10**7
-) -> SolutionSet:
-    """Oracle: enumerate all simple source-to-target paths and filter.
-
-    Sound for cost-vector fronts because removing a non-negative cycle never
-    increases any component.  Counts complete paths and raises
-    InstanceTooLarge past max_paths.  Witness per front cost is the first
-    path found in DFS order (adjacency order, deterministic).
-    """
-    _check_vertex(graph, query.source, "source")
-    _check_vertex(graph, query.target, "target")
-    d = graph.d
-    src, tgt = query.source, query.target
-    if src == tgt:
-        return SolutionSet(
-            query, Epsilon.zero(d), (SolutionEntry((0,) * d, (src,)),)
-        )
-    arcs = graph.out_arcs
-    found: dict[Cost, tuple[int, ...]] = {}
-    count = 0
-    path = [src]
-    onpath = {src}
-    acc: list[Cost] = [(0,) * d]
-    stack: list = [iter(arcs[src])]
-    while stack:
-        advanced = False
-        for _, w, c in stack[-1]:
-            if w in onpath:
-                continue
-            cost = tuple(acc[-1][k] + c[k] for k in range(d))
-            if w == tgt:
-                count += 1
-                if count > max_paths:
-                    raise InstanceTooLarge(
-                        f"more than {max_paths} simple paths enumerated"
-                    )
-                if cost not in found:
-                    found[cost] = tuple(path) + (tgt,)
-                continue
-            path.append(w)
-            onpath.add(w)
-            acc.append(cost)
-            stack.append(iter(arcs[w]))
-            advanced = True
-            break
-        if not advanced:
-            stack.pop()
-            onpath.discard(path.pop())
-            acc.pop()
-    front = pareto_filter(found.keys())
-    entries = tuple(SolutionEntry(c, found[c]) for c in front)
-    return SolutionSet(query, Epsilon.zero(d), entries)

@@ -41,9 +41,10 @@ from mosbench.protocol import (
     verify_coverage,
     verify_solutions,
 )
-from mosbench.solve import brute_force_pareto, solve_approx, solve_exact
+from mosbench.solve import solve_approx, solve_exact
 
 from conftest import diamond_graph, random_graph
+from oracles import brute_force_pareto
 
 RESULTS: list[str] = []
 

@@ -304,6 +304,30 @@ class TestSolve:
         assert "increasing" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--eps", "0,1/0"],
+            ["solve", "--eps", "0", "--eps-vec", "1/0,0"],
+            ["stats", "cardinality", "--records", "r.csv", "--eps", "1/0", "--out", "out.csv"],
+            ["verify", "--exact", "s.sol", "--approx", "s.sol", "--eps", "1/0"],
+            ["convert", "panda", "--roadmap", "m.txt", "--delta", "1/0", "--mode", "bi", "--out", "out.gr"],
+        ],
+    )
+    def test_zero_denominator_rejected(self, tmp_path, capsys, monkeypatch, argv):
+        # A zero denominator once escaped as a ZeroDivisionError traceback.
+        solve_small(tmp_path, eps="0")
+        (tmp_path / "m.txt").write_text(ROADMAP)
+        monkeypatch.chdir(tmp_path)
+        if argv[0] == "solve":
+            argv = argv + ["--graph", "g.gr", "--queries", "q.txt",
+                           "--out-solutions", "out.sol", "--out-records", "out.csv"]
+        capsys.readouterr()
+        assert run_main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not list(tmp_path.glob("out.*"))
+
+    @pytest.mark.parametrize(
         "problem,message",
         [
             ("p mosp 0 0 2", "line 1: vertex count must be >= 1"),
@@ -386,6 +410,48 @@ class TestVerify:
         )
         assert code == EXIT_VERIFICATION
         assert "DominanceViolation" in capsys.readouterr().out
+
+    def test_solutions_eps_block_must_cover_eps0_block(self, tmp_path, capsys):
+        # Dropping a kept entry from the eps=0.1 block once left the file
+        # at "0 violations" and exit 0.
+        run_main(
+            [
+                "generate", "grid", "--k", 12, "--m", 12, "--seed", 3,
+                "--out-graph", tmp_path / "g.gr", "--out-queries", tmp_path / "q.txt",
+            ]
+        )
+        run_main(
+            [
+                "solve", "--graph", tmp_path / "g.gr", "--queries", tmp_path / "q.txt",
+                "--eps", "0,0.1",
+                "--out-solutions", tmp_path / "s.sol", "--out-records", tmp_path / "r.csv",
+            ]
+        )
+        exact, approx = read_solutions(tmp_path / "s.sol")
+        cut = SolutionSet(approx.query, approx.epsilon, approx.entries[1:])
+        objectives = read_graph(tmp_path / "g.gr").objectives
+
+        def verify(sets):
+            write_solutions(sets, tmp_path / "bad.sol", objectives=objectives)
+            capsys.readouterr()
+            code = run_main(
+                [
+                    "verify", "--graph", tmp_path / "g.gr",
+                    "--queries", tmp_path / "q.txt",
+                    "--solutions", tmp_path / "bad.sol",
+                ]
+            )
+            return code, capsys.readouterr().out.splitlines()
+
+        code, out = verify([exact, cut])
+        assert code == EXIT_VERIFICATION
+        # The dropped cost and the exact costs that only it covered.
+        prefix = f"query {approx.query.index} eps=0.1: uncovered exact cost "
+        assert out[0] == prefix + str(approx.entries[0].cost)
+        assert all(line.startswith(prefix) for line in out[:-1])
+        assert out[-1] == "feasibility: 2 solution sets, 0 violations"
+        # A query with no eps=0 block in the file has nothing to cover.
+        assert verify([cut]) == (EXIT_OK, ["feasibility: 1 solution sets, 0 violations"])
 
     def test_coverage_pass_and_fail(self, tmp_path, capsys):
         q = Query(1, 2, 0)

@@ -16,13 +16,10 @@ from mosbench.core import (
     collector_paused,
     correlation_matrix_from_costs,
     dominates,
-    eps_covers,
-    eps_dominates,
     objective_correlation_matrix,
     pareto_filter,
     path_cost,
     pearson,
-    weakly_dominates,
 )
 from mosbench.errors import (
     DegenerateInput,
@@ -35,6 +32,7 @@ from mosbench.errors import (
 from mosbench.formats import read_graph, write_graph
 
 from conftest import random_graph
+from oracles import eps_covers, eps_dominates, weakly_dominates
 
 
 class TestDominance:

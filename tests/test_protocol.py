@@ -24,7 +24,6 @@ from mosbench.core import (
     SolutionSet,
     _path_can_cost,
     dominates,
-    eps_covers,
     path_cost,
 )
 from mosbench.errors import (
@@ -61,6 +60,7 @@ from mosbench.protocol import (
 from mosbench.solve import solve_approx, solve_exact
 
 from conftest import diamond_graph, random_graph, twin_arc_chain
+from oracles import eps_covers
 from test_acceptance import _desk_instances
 from test_core import reference_path_cost
 

@@ -19,13 +19,11 @@ from mosbench.core import (
     Query,
     SolutionEntry,
     SolutionSet,
-    eps_covers,
     pareto_filter,
     path_cost,
 )
 from mosbench.errors import (
     DimensionMismatch,
-    InstanceTooLarge,
     SearchTimeout,
     TargetOutOfRange,
 )
@@ -35,7 +33,6 @@ from mosbench.solve import (
     _eps_front,
     _search_bi,
     _search_multi,
-    brute_force_pareto,
     dijkstra_bound,
     ideal_point_heuristic,
     solve_approx,
@@ -43,6 +40,7 @@ from mosbench.solve import (
 )
 
 from conftest import diamond_graph, line_graph, random_graph
+from oracles import InstanceTooLarge, brute_force_pareto, eps_covers
 
 INF = float("inf")
 
