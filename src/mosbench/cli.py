@@ -5,6 +5,7 @@ import argparse
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from . import convert, formats, generate, protocol
 from .core import Epsilon, SolutionSet
@@ -13,6 +14,22 @@ from .errors import MosbenchError
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VERIFICATION = 3
+
+T = TypeVar("T")
+
+
+def _option(option: str, text: str, parse: Callable[[str], T]) -> T:
+    """parse(text); a ValueError, or a zero denominator, names the option and its text."""
+    try:
+        return parse(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{option} {text!r}: zero denominator") from None
+    except ValueError as exc:
+        raise ValueError(f"{option} {text!r}: {exc}") from None
+
+
+def _fractions(text: str) -> tuple[Fraction, ...]:
+    return tuple(map(Fraction, text.split(",")))
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -64,7 +81,8 @@ def cmd_convert(args: argparse.Namespace) -> int:
         graph = convert.guards_to_graph(grid)
     elif args.kind == "panda":
         roadmap = convert.read_roadmap(args.roadmap)
-        graph = convert.panda_apply_clearance(roadmap, args.delta, args.mode)
+        delta = _option("--delta", args.delta, Fraction)
+        graph = convert.panda_apply_clearance(roadmap, delta, args.mode)
     else:
         base = formats.read_graph(args.graph)
         graph, remap = convert.extract_connected_subgraph(base, args.root, args.limit)
@@ -84,10 +102,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         raise ValueError(f"--name {args.name!r} is not ASCII, so the records CSV cannot hold it")
     graph = formats.read_graph(args.graph)
     queries = formats.read_queries(args.queries, num_vertices=graph.num_vertices)
-    scalars = tuple(Fraction(p) for p in args.eps.split(","))
-    eps_list = protocol.EpsilonGrid(scalars).epsilons(graph.d)
+    grid = _option("--eps", args.eps, lambda t: protocol.EpsilonGrid(_fractions(t)))
+    eps_list = grid.epsilons(graph.d)
     for text in args.eps_vec or []:
-        eps_list.append(Epsilon.from_text(text, graph.d))
+        eps_list.append(_option("--eps-vec", text, lambda t: Epsilon.from_text(t, graph.d)))
     sets, records = protocol.run_benchmark(
         graph,
         queries,
@@ -164,7 +182,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print("error: no solution sets in the exact file", file=sys.stderr)
             return EXIT_USAGE
         d = exact_sets[0].epsilon.d
-        eps = Epsilon.from_text(args.eps, d)
+        eps = _option("--eps", args.eps, lambda t: Epsilon.from_text(t, d))
         exact_by_idx = _blocks_by_query(exact_sets)
         approx_by_idx = _blocks_by_query(approx_sets)
         pairs = failed = 0
@@ -204,7 +222,7 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_stats(args: argparse.Namespace) -> int:
     if args.report == "cardinality":
         records = protocol.read_records(args.records)
-        eps = Epsilon(tuple(map(Fraction, args.eps.split(","))))
+        eps = _option("--eps", args.eps, lambda t: Epsilon(_fractions(t)))
         stats = protocol.cardinality_stats(records, eps)
         if stats.excluded_timeouts:
             print(f"excluded {stats.excluded_timeouts} timed-out records", file=sys.stderr)
@@ -346,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
     except MosbenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, ValueError, ZeroDivisionError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

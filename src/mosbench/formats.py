@@ -10,8 +10,9 @@ The graph format is a small extension of the familiar DIMACS arc layout:
 
 A line is its keyword, one space, then fields split on any whitespace.
 read_graph reads an arc block in write_graph's own layout in bulk (layout
-by one regex search, values by MosGraph alone) and any other layout, or a
-bulk block either rejects, line by line; both give the same graph and errors.
+and integers by two bytes.translate passes and one json.loads, values by
+MosGraph alone) and any other layout, or a bulk block either rejects, line
+by line; both give the same graph and errors.
 write_graph raises ValueError for an objective name or metadata key that
 _NAME_RE does not match, and for a metadata value with a line break, with
 leading or trailing whitespace or with a non-ASCII character: those would
@@ -72,28 +73,43 @@ def _ints(tokens: Sequence[str], lineno: int, what: str) -> tuple[int, ...]:
         raise
 
 
+# Arc-block bytes to json, with `a` deleted: a space separates fields and a
+# newline only spaces them, so each line's `a ` becomes the comma before it.
+_ARC_JSON = bytes.maketrans(b" \n", b", ")
+
+
 def _arc_fields(text: str, start: int, d: int, num_arcs: int) -> list[int] | None:
     """The integers of the arc block text[start:], flat, when it is canonical.
 
     A canonical block is the layout write_graph emits: `num_arcs` lines
-    `a u v c_1 ... c_d` with single spaces, each ending in a newline.  Only
-    the layout is checked, by one search for a newline that does not start
-    such a line (a whole-block match needs 3.11's possessive groups, or a
-    greedy repeat whose stack grows with the lines), with the d costs spelt
-    out (faster than `{d}`) once the first line shows 2 + d fields.  One
-    json.loads parses the integers and rejects leading zeros; their values
-    are the caller's to check.  None sends the caller to its line loop,
-    which reads any other layout and names the line of every error;
-    text[start - 1] must be a newline.
+    `a u v c_1 ... c_d` with single spaces, each ending in a newline;
+    text[start:] starts with `a `.  The checks that copy nothing come
+    first: the first line holds 2 + d spaces (so a huge d builds nothing),
+    no two spaces meet, and `num_arcs` lines fit in the text.  Then the
+    layout: the block with its digits deleted must be `num_arcs` copies of
+    `a`, 2 + d spaces and a newline.  That leaves only the digit runs free,
+    and one json.loads of the block translated to `u,v,c_1,..,c_d ,u,..`
+    rejects a run that is empty or out of place (`a5`, `5a`, a space
+    before the newline: an empty element, or two numbers with only a space
+    between them), a leading zero and an integer too long for int().  The
+    values are the caller's to check.  None sends the caller to its line
+    loop, which reads any other layout and names the line of every error.
     """
     if text.count(" ", start, text.find("\n", start)) != 2 + d:
         return None
-    if re.compile(r"\n(?!a [0-9]+ [0-9]+" + " [0-9]+" * d + r"\n|\Z)").search(text, start - 1):
+    line = b"a" + b" " * (2 + d) + b"\n"
+    if text.find("  ", start) >= 0 or len(line) * num_arcs > len(text) - start:
         return None
-    block = text[start + 2 : -1].replace("\na ", ",").replace(" ", ",")
+    block = text[start:].encode("ascii")
+    if block.translate(None, b"0123456789") != line * num_arcs:
+        return None
+    # Each step drops the copy before it, so at most two are alive; the
+    # view skips the first line's comma without another copy.
+    block = block.translate(_ARC_JSON, b"a")
+    block = b"[%b]" % memoryview(block)[1:]
     try:
-        fields = json.loads(f"[{block}]")
-    except ValueError:  # a leading zero, or an integer too long for int()
+        fields = json.loads(block)
+    except ValueError:  # an empty or misplaced digit run, a leading zero, a huge integer
         return None
     return fields if len(fields) == (2 + d) * num_arcs else None
 

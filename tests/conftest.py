@@ -86,6 +86,43 @@ def read_outcome(read, path):
         return type(exc), str(exc)
 
 
+# Non-canonical arc blocks that json.loads alone would accept or misread,
+# made by bent_arc_block.
+ARC_BENDS = (
+    "1.5", "1e5", "1E5", "-1", "true", "null", "NaN", "Infinity",
+    "a5", "5a", "space", "last space", "trade",
+)
+
+
+def bent_arc_block(bend: str | None, d: int) -> str:
+    """Arc lines (1, 2), (2, 3), (3, 1) with d costs each, bent by `bend`.
+
+    None leaves the block canonical.  An ARC_BENDS number or literal
+    replaces the middle line's last cost; `a5` and `5a` put a digit after or
+    before its `a`; `space` and `last space` drop the last cost of the
+    middle or last line and keep its space; `trade` gives the middle line
+    d + 1 costs and the last d - 1.
+    """
+    lines = [
+        f"a {u} {v} " + " ".join(str(10 * u + k) for k in range(d))
+        for u, v in ((1, 2), (2, 3), (3, 1))
+    ]
+    mid, last = lines[1], lines[2]
+    if bend == "a5":
+        lines[1] = "a5" + mid[1:]
+    elif bend == "5a":
+        lines[1] = "5" + mid
+    elif bend == "space":
+        lines[1] = mid[: mid.rindex(" ") + 1]
+    elif bend == "last space":
+        lines[2] = last[: last.rindex(" ") + 1]
+    elif bend == "trade":
+        lines[1], lines[2] = mid + " 7", last[: last.rindex(" ")]
+    elif bend is not None:
+        lines[1] = mid[: mid.rindex(" ") + 1] + bend
+    return "".join(line + "\n" for line in lines)
+
+
 def _relaid(draw, line: str, keys: tuple[str, ...]) -> str:
     if not line.startswith(keys):
         return line
@@ -132,7 +169,7 @@ def file_texts(draw, text: str, keys: tuple[str, ...] = ("a ",), count_key: str 
         return "\n".join(lines) + "\n"
     if how not in ("none", "count") and text:
         i = draw(st.integers(0, len(text) - 1))
-        c = draw(st.sampled_from(" \t\r\n0123456789-+acxr:,./"))
+        c = draw(st.sampled_from(" \t\r\n0123456789-+acxr:,./eEnt"))
         keep = i + (how != "insert")
         text = text[:i] + ("" if how == "delete" else c) + text[keep:]
     return text

@@ -303,28 +303,35 @@ class TestSolve:
         assert code == EXIT_USAGE
         assert "increasing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["1/0", "abc"])
     @pytest.mark.parametrize(
-        "argv",
+        "argv,option,text",
         [
-            ["solve", "--eps", "0,1/0"],
-            ["solve", "--eps", "0", "--eps-vec", "1/0,0"],
-            ["stats", "cardinality", "--records", "r.csv", "--eps", "1/0", "--out", "out.csv"],
-            ["verify", "--exact", "s.sol", "--approx", "s.sol", "--eps", "1/0"],
-            ["convert", "panda", "--roadmap", "m.txt", "--delta", "1/0", "--mode", "bi", "--out", "out.gr"],
+            (["solve", "--eps", "0,{}"], "--eps", "0,{}"),
+            (["solve", "--eps", "0", "--eps-vec", "{},0"], "--eps-vec", "{},0"),
+            (["stats", "cardinality", "--records", "r.csv", "--eps", "{}", "--out", "out.csv"],
+             "--eps", "{}"),
+            (["verify", "--exact", "s.sol", "--approx", "s.sol", "--eps", "{}"], "--eps", "{}"),
+            (["convert", "panda", "--roadmap", "m.txt", "--delta", "{}", "--mode", "bi",
+              "--out", "out.gr"], "--delta", "{}"),
         ],
     )
-    def test_zero_denominator_rejected(self, tmp_path, capsys, monkeypatch, argv):
-        # A zero denominator once escaped as a ZeroDivisionError traceback.
+    def test_bad_fraction_names_option_and_text(
+        self, tmp_path, capsys, monkeypatch, argv, option, text, bad
+    ):
+        # A zero denominator once escaped as a ZeroDivisionError traceback,
+        # then printed Python's own message, `error: Fraction(1, 0)`.
         solve_small(tmp_path, eps="0")
         (tmp_path / "m.txt").write_text(ROADMAP)
         monkeypatch.chdir(tmp_path)
+        argv = [a.format(bad) for a in argv]
         if argv[0] == "solve":
             argv = argv + ["--graph", "g.gr", "--queries", "q.txt",
                            "--out-solutions", "out.sol", "--out-records", "out.csv"]
         capsys.readouterr()
         assert run_main(argv) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {option} {text.format(bad)!r}: ") and err.count("\n") == 1
         assert not list(tmp_path.glob("out.*"))
 
     @pytest.mark.parametrize(

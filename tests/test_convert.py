@@ -40,7 +40,7 @@ from mosbench.errors import (
     RootOutOfRange,
 )
 
-from conftest import file_texts, read_outcome
+from conftest import ARC_BENDS, bent_arc_block, file_texts, read_outcome
 
 
 def write(tmp_path, name, text):
@@ -241,6 +241,19 @@ class TestDimacsBulkArcBlock:
         t = write(tmp_path, "t.gr", TestDimacsPair.TIME.replace("a 3 1 2", "a 3 1  2"))
         assert parse_dimacs(d, t).edges == ((1, 2, (40, 5)), (2, 3, (7, 9)), (3, 1, (12, 2)))
         assert seen == [[1, 2, 40, 2, 3, 7, 3, 1, 12], None]
+
+    @pytest.mark.parametrize("bend", ARC_BENDS)
+    def test_bent_block_goes_to_line_loop(self, tmp_path, bend):
+        def text(bend):
+            return "p sp 3 3\n" + bent_arc_block(bend, 1)
+
+        start = text(None).find("\na ") + 1
+        assert convert._arc_fields(text(None), start, 1, 3) is not None
+        assert convert._arc_fields(text(bend), start, 1, 3) is None
+        p = write(tmp_path, "d.gr", text(bend))
+        assert read_outcome(convert._parse_gr, p) == read_outcome(_flat_reference, p)
+        merged = _gr_outcome(lambda f: parse_dimacs(f, f), p)
+        assert merged == _gr_outcome(lambda f: line_by_line_parse_dimacs(f, f), p)
 
     @pytest.mark.parametrize("bad", ["a 0 2 4", "a 2 0 4", "a 3 1 4", "a 1 3 4"])
     @pytest.mark.parametrize("declared", [2, 3, 4])

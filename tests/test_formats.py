@@ -35,7 +35,7 @@ from mosbench.formats import (
     write_solutions,
 )
 
-from conftest import file_texts, random_graph, read_outcome
+from conftest import ARC_BENDS, bent_arc_block, file_texts, random_graph, read_outcome
 
 
 class TestGraphFormat:
@@ -507,6 +507,23 @@ class TestBulkArcBlock:
                 "arc endpoint out of range 1..2",
             )
         assert (seen[0] is not None) == ("p mosp 2 3 1" in head)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("bend", ARC_BENDS)
+    def test_bent_block_goes_to_line_loop(self, tmp_path, bend, d):
+        def text(bend):
+            return f"p mosp 3 3 {d}\n" + bent_arc_block(bend, d)
+
+        start = text(None).find("\na ") + 1
+        assert formats._arc_fields(text(None), start, d, 3) is not None
+        assert formats._arc_fields(text(bend), start, d, 3) is None
+        p = tmp_path / "g.gr"
+        p.write_text(text(bend))
+        assert _graph_outcome(read_graph, p) == _graph_outcome(line_by_line_read_graph, p)
+
+    def test_huge_arc_count_builds_no_skeleton(self):
+        text = "p mosp 2 1 2\na 1 2 3 4\n"
+        assert formats._arc_fields(text, text.find("\na ") + 1, 2, 10**18) is None
 
     def test_huge_objective_count_builds_no_pattern(self, tmp_path):
         p = tmp_path / "g.gr"

@@ -7,6 +7,7 @@ import random
 import signal
 import tracemalloc
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -227,6 +228,31 @@ class TestRunBenchmark:
         for ss, eps in zip(sets, eps_list):
             assert ss.entries == solve_approx(g, q, eps).entries
         assert [r.cardinality for r in records] == [ss.cardinality for ss in sets]
+
+    @pytest.mark.parametrize("timeout_ms", [None, 1e-6])
+    def test_repeated_endpoints_search_once(self, monkeypatch, timeout_ms):
+        import mosbench.protocol
+
+        search = mosbench.protocol.solve_exact
+        calls = []
+
+        def counted(graph, query, *args, **kwargs):
+            calls.append((query.source, query.target))
+            return search(graph, query, *args, **kwargs)
+
+        g, q = diamond_graph()
+        queries = [q, Query(1, 2, 1), Query(1, 4, 2), Query(3, 4, 3), Query(1, 2, 4)]
+        separate = [run_benchmark(g, [x], timeout_ms=timeout_ms) for x in queries]
+        monkeypatch.setattr(mosbench.protocol, "solve_exact", counted)
+        sets, records = run_benchmark(g, queries, timeout_ms=timeout_ms)
+        assert calls == [(1, 4), (1, 2), (3, 4)]
+        # Each repeat's sets carry its own Query, so they equal a lone run's.
+        assert sets == [ss for s, _ in separate for ss in s]
+        assert [replace(r, ms=0.0) for r in records] == [
+            replace(r, ms=0.0) for _, rs in separate for r in rs
+        ]
+        if timeout_ms is not None:  # a repeat's timeout rows keep the first search's ms
+            assert [r.ms for r in records[8:12]] == [r.ms for r in records[:4]]
 
 
 @st.composite
