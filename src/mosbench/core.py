@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter, le, lt, sub
+from operator import add, itemgetter, le, lt, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -329,64 +329,76 @@ def path_cost(graph: MosGraph, path: Sequence[int]) -> Cost:
     return (0,) * graph.d
 
 
-def _path_can_cost(graph: MosGraph, path: Sequence[int], cost: Cost, base: Cost) -> bool:
-    """Whether some choice among parallel edges gives a path this exact cost.
+def _path_costs(
+    graph: MosGraph, path: Sequence[int], costs: Iterable[Cost], base: Cost
+) -> set[Cost]:
+    """The costs that some choice among parallel edges gives this path.
 
     Every hop of path is an arc of the graph, and base is path_cost(graph,
     path), which takes the lexicographically smallest arc of every hop, so
-    what is left to cover is cost - base.  Only the hops with more than one
-    distinct arc cost can change that; their alternatives come from the
-    graph's cached table of deltas over the smallest arc.  Those hops
-    are walked level by level over the set of remainders still to be
-    covered, each kept only while it lies within the componentwise
-    [min, max] delta sums of the hops after it: those bounds start as the
-    sums over all such hops, and each hop's own min and max come off as the
-    walk reaches it.  The cost is reachable when the zero vector is left;
-    since every hop has the zero delta, a zero remainder stays within every
-    later bound and ends the walk.  Equal remainders merge, so the work
+    what is left to cover for a cost is cost - base.  Only the hops with
+    more than one distinct arc cost can change that; their alternatives come
+    from the graph's cached table of deltas over the smallest arc.  Those
+    hops, and the componentwise [min, max] delta sums of the hops after
+    each of them, are listed once per path.  Each cost is then walked on
+    its own, hop by hop, over the set of remainders still to be covered,
+    each kept only while it lies within the bounds of the hops after the
+    current one.  The cost is reachable when the zero vector is left; since
+    every hop has the zero delta, a zero remainder stays within every later
+    bound and ends that cost's walk.  Equal remainders merge, so one walk
     grows with the number of distinct partial sums, not of arc choices.
-    For d=2 the walk runs on (r1, r2) pairs against scalar bounds.
+    For d=2 the walks run on (r1, r2) pairs against scalar bounds.
     """
     multi = [h for h in map(graph._parallel_arcs.get, zip(path, path[1:])) if h]
+    reached: set[Cost] = set()
     if graph.d == 2:
+        bounds = []
         lo1 = lo2 = hi1 = hi2 = 0
-        for _, (l1, l2), (u1, u2) in multi:
+        for deltas, (l1, l2), (u1, u2) in reversed(multi):
+            bounds.append((deltas, lo1, lo2, hi1, hi2))
             lo1 += l1
             lo2 += l2
             hi1 += u1
             hi2 += u2
-        pairs = {(cost[0] - base[0], cost[1] - base[1])}
-        for deltas, (l1, l2), (u1, u2) in multi:
-            lo1 -= l1
-            lo2 -= l2
-            hi1 -= u1
-            hi2 -= u2
-            pairs = {
-                (r1, r2)
-                for x1, x2 in pairs
-                for o1, o2 in deltas
-                if lo1 <= (r1 := x1 - o1) <= hi1 and lo2 <= (r2 := x2 - o2) <= hi2
-            }
-            if not pairs or (0, 0) in pairs:
-                break
-        return (0, 0) in pairs
+        bounds.reverse()
+        b1, b2 = base
+        for cost in costs:
+            pairs = {(cost[0] - b1, cost[1] - b2)}
+            for deltas, lo1, lo2, hi1, hi2 in bounds:
+                pairs = {
+                    (r1, r2)
+                    for x1, x2 in pairs
+                    for o1, o2 in deltas
+                    if lo1 <= (r1 := x1 - o1) <= hi1 and lo2 <= (r2 := x2 - o2) <= hi2
+                }
+                if not pairs or (0, 0) in pairs:
+                    break
+            if (0, 0) in pairs:
+                reached.add(cost)
+        return reached
     zero = (0,) * graph.d
-    lo = tuple(map(sum, zip(zero, *(dlo for _, dlo, _ in multi))))
-    hi = tuple(map(sum, zip(zero, *(dhi for _, _, dhi in multi))))
-    level = {tuple(map(sub, cost, base))}
-    for deltas, dlo, dhi in multi:
-        lo = tuple(map(sub, lo, dlo))
-        hi = tuple(map(sub, hi, dhi))
-        level = {
-            r
-            for acc in level
-            for o in deltas
-            for r in (tuple(map(sub, acc, o)),)
-            if all(map(le, lo, r)) and all(map(le, r, hi))
-        }
-        if not level or zero in level:
-            break
-    return zero in level
+    lo = hi = zero
+    bounds = []
+    for deltas, dlo, dhi in reversed(multi):
+        bounds.append((deltas, lo, hi))
+        lo = tuple(map(add, lo, dlo))
+        hi = tuple(map(add, hi, dhi))
+    bounds.reverse()
+    for cost in costs:
+        level = {tuple(map(sub, cost, base))}
+        for deltas, lo, hi in bounds:
+            level = {
+                r
+                for acc in level
+                for o in deltas
+                for r in (tuple(map(sub, acc, o)),)
+                if all(map(le, lo, r)) and all(map(le, r, hi))
+            }
+            if not level or zero in level:
+                break
+        if zero in level:
+            reached.add(cost)
+    return reached
 
 
 def dominates(p: Sequence[int], q: Sequence[int]) -> bool:

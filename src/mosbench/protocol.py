@@ -29,7 +29,7 @@ from .core import (
     Query,
     SolutionSet,
     _fraction_text,
-    _path_can_cost,
+    _path_costs,
     correlation_matrix_from_costs,
     dominates,
     objective_correlation_matrix,
@@ -203,13 +203,19 @@ def verify_solutions(
     sort-and-sweep Pareto front; only an entry off that front is compared
     pairwise, in entry order, to name the first entry that dominates it.
 
+    Witnesses are checked in two passes.  The first, in entry order, checks
+    each path's endpoints and looks its (path, stored cost) pair up in the
+    query's memo; the entries left are grouped by path.  The second costs
+    each distinct path once (_witness_faults): the entries of a front that
+    differ only in which parallel arcs they take share one path_cost and
+    one walk setup.  Violations are reported in entry order all the same.
+
     A witness is costed once per (path, stored cost) pair of the query: the
     graph keeps the outcomes of the last query verified on it, so the
     copies an epsilon block holds of its exact block's entries reuse them
     with their own entry index.  A block's outcomes are entered in that
-    memo only when a later block of the same query comes, so a query with
-    one block pays no hashing of its paths.  Verifying another query drops
-    them.
+    memo only when a later block of the same query comes.  Verifying
+    another query drops them.
     """
     v: list[str] = []
     d = graph.d
@@ -238,40 +244,57 @@ def verify_solutions(
             e = block.entries[i]
             settled[e.path, e.cost] = bad.get(i, ())
     unentered.clear()
-    fresh: list[int] = []
-    faults: dict[int, tuple[str, ...]] = {}
-    for i, entry in enumerate(solset.entries):
-        if entry.path is None:
-            continue
+    source, target = query.source, query.target
+    entries = solset.entries
+    found: dict[int, tuple[str, str]] = {}
+    fresh: dict[tuple[int, ...], list[int]] = {}
+    for i, entry in enumerate(entries):
         p = entry.path
-        if p and p[0] != query.source:
-            v.append(f"PathStart: entry {i} starts at {p[0]}, query source is {query.source}")
+        if p is None:
             continue
-        if p and p[-1] != query.target:
-            v.append(f"PathEnd: entry {i} ends at {p[-1]}, query target is {query.target}")
+        if p and p[0] != source:
+            found[i] = ("PathStart", f" starts at {p[0]}, query source is {source}")
+            continue
+        if p and p[-1] != target:
+            found[i] = ("PathEnd", f" ends at {p[-1]}, query target is {target}")
             continue
         fault = settled.get((p, entry.cost)) if settled else None
         if fault is None:
-            fault = _witness_fault(graph, p, entry.cost)
-            fresh.append(i)
-            if fault:
-                faults[i] = fault
-        if fault:
-            v.append(f"{fault[0]}: entry {i}{fault[1]}")
-    unentered.append((solset, fresh, faults))
+            fresh.setdefault(p, []).append(i)
+        elif fault:
+            found[i] = fault
+    new: list[int] = []
+    bad: dict[int, tuple[str, str]] = {}
+    for p, group in fresh.items():
+        faults = _witness_faults(graph, p, {entries[i].cost for i in group})
+        new += group
+        if faults:
+            for i in group:
+                fault = faults.get(entries[i].cost)
+                if fault:
+                    found[i] = bad[i] = fault
+    unentered.append((solset, new, bad))
+    v += [f"{kind}: entry {i}{text}" for i, (kind, text) in sorted(found.items())]
     return VerificationReport(v)
 
 
-def _witness_fault(graph: MosGraph, path: Sequence[int], cost: Cost) -> tuple[str, ...]:
-    """() when some choice of arcs along path sums to cost; otherwise the
-    violation's kind and its text after the entry index."""
+def _witness_faults(
+    graph: MosGraph, path: Sequence[int], costs: set[Cost]
+) -> dict[Cost, tuple[str, str]]:
+    """Each of costs that no choice of arcs along path sums to, mapped to
+    its violation's kind and its text after the entry index.
+
+    path_cost runs once; a path it cannot cost faults every cost alike.  A
+    cost equal to its sum passes, and the others share one _path_costs call.
+    """
     try:
         rc = path_cost(graph, path)
     except NonEdge as exc:
-        return ("PathBroken", f": {exc}")
-    if rc != cost and not _path_can_cost(graph, path, cost, rc):
-        return ("CostMismatch", f" stores {cost}, path recomputes to {rc}")
-    return ()
+        return dict.fromkeys(costs, ("PathBroken", f": {exc}"))
+    unreached = costs - {rc}
+    if unreached:
+        unreached -= _path_costs(graph, path, unreached, rc)
+    return {c: ("CostMismatch", f" stores {c}, path recomputes to {rc}") for c in unreached}
 
 
 def verify_coverage(

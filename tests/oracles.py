@@ -1,11 +1,13 @@
 """Independent oracles that the suite checks the toolkit against.
 
 None of these is used by the toolkit itself: exhaustive path enumeration
-stands in for the exact search, and the dominance predicates spell out the
-definitions that the solvers and verifiers evaluate in their own way.
+stands in for the exact search, the sums over every choice of parallel arcs
+stand in for verify's pruned walk, and the dominance predicates spell out
+the definitions that the solvers and verifiers evaluate in their own way.
 """
 from __future__ import annotations
 
+from itertools import product
 from operator import le, mul
 from typing import Sequence
 
@@ -51,6 +53,19 @@ def eps_dominates(p: Sequence[int], q: Sequence[int], eps: Epsilon) -> bool:
 def eps_covers(p: Sequence[int], q: Sequence[int], eps: Epsilon) -> bool:
     """eps_dominates or equality: p is an acceptable stand-in for q."""
     return tuple(p) == tuple(q) or eps_dominates(p, q, eps)
+
+
+def arc_choice_sums(graph: MosGraph, path: Sequence[int]) -> set[Cost]:
+    """Every cost that taking one arc per hop gives path: the sums over all
+    arc choices (itertools.product of each hop's arcs).
+
+    Empty when some hop is not an arc; a one-vertex path sums to zero.
+    Exponential in the number of hops with parallel arcs, so small paths only.
+    """
+    hops = [[c for u, v, c in graph.edges if (u, v) == hop] for hop in zip(path, path[1:])]
+    return {
+        tuple(sum(c[k] for c in pick) for k in range(graph.d)) for pick in product(*hops)
+    }
 
 
 def brute_force_pareto(

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import importlib.util
-import itertools
 import random
 import signal
 import tracemalloc
@@ -23,7 +22,7 @@ from mosbench.core import (
     Query,
     SolutionEntry,
     SolutionSet,
-    _path_can_cost,
+    _path_costs,
     dominates,
     path_cost,
 )
@@ -61,7 +60,7 @@ from mosbench.protocol import (
 from mosbench.solve import solve_approx, solve_exact
 
 from conftest import diamond_graph, random_graph, twin_arc_chain
-from oracles import eps_covers
+from oracles import arc_choice_sums, eps_covers
 from test_acceptance import _desk_instances
 from test_core import reference_path_cost
 
@@ -84,7 +83,7 @@ def deadline(seconds):
 
 @st.composite
 def multigraph_paths(draw, dims=(2, 3)):
-    """A small multigraph, a walk in it, and the arcs of each of the walk's hops.
+    """A small multigraph and a walk in it.
 
     d is drawn from dims.  Every hop has 1-3 parallel arcs; other arcs leave
     the same tails toward other heads.  Costs may be zero, and hops and
@@ -100,9 +99,7 @@ def multigraph_paths(draw, dims=(2, 3)):
     extra = draw(st.lists(st.tuples(vertex, vertex, cost), max_size=4))
     edges += [(u, v, c) for u, v, c in extra if (u, v) not in hops]
     edges = draw(st.permutations(edges))
-    g = MosGraph(n, tuple(edges), tuple(Objective(f"c{k + 1}") for k in range(d)))
-    arcs = [[c for a, b, c in g.edges if (a, b) == hop] for hop in zip(path, path[1:])]
-    return g, path, arcs
+    return MosGraph(n, tuple(edges), tuple(Objective(f"c{k + 1}") for k in range(d))), path
 
 
 class TestEpsilonGrid:
@@ -284,6 +281,8 @@ def witness_violations(graph, query, solset):
 
     A witness whose hops are all arcs sums each hop's cheapest arc with
     zip(*); reference_path_cost costs every other witness or names its error.
+    A stored cost other than that sum passes when some choice of arcs sums
+    to it (arc_choice_sums).
     """
     out = []
     for i, entry in enumerate(solset.entries):
@@ -305,7 +304,7 @@ def witness_violations(graph, query, solset):
             except NonEdge as exc:
                 out.append(f"PathBroken: entry {i}: {exc}")
                 continue
-        if rc != entry.cost and not _path_can_cost(graph, p, entry.cost, rc):
+        if rc != entry.cost and entry.cost not in arc_choice_sums(graph, p):
             out.append(f"CostMismatch: entry {i} stores {entry.cost}, path recomputes to {rc}")
     return out
 
@@ -319,7 +318,7 @@ def tampered_fronts(draw):
     first vertex, empties it, or duplicates the entry; the entries are then
     shuffled.
     """
-    g, path, _ = draw(multigraph_paths(dims=(1, 2, 3, 4)))
+    g, path = draw(multigraph_paths(dims=(1, 2, 3, 4)))
     q = Query(path[0], path[-1], 0)
     entries = list(solve_exact(g, q).entries)
     for _ in range(draw(st.integers(0, 4))):
@@ -464,29 +463,91 @@ class TestVerifySolutions:
             verify_solutions(g, q, ss)
 
     @staticmethod
-    def check_path_can_cost(case, data):
-        g, path, arcs = case
-        sums = {
-            tuple(sum(c[k] for c in pick) for k in range(g.d))
-            for pick in itertools.product(*arcs)
-        }
+    def check_path_costs(case, data):
+        # Several costs per path, as verify passes a path's stored costs:
+        # some reachable sums, some other costs, and the path's own cost.
+        g, path = case
+        sums = arc_choice_sums(g, path)
         base = path_cost(g, path)
-        reachable = data.draw(st.sampled_from(sorted(sums)))
-        assert _path_can_cost(g, path, reachable, base)
+        reachable = data.draw(st.lists(st.sampled_from(sorted(sums)), min_size=1, max_size=4))
         top = 3 * (len(path) - 1) + 1
-        other = data.draw(st.tuples(*[st.integers(0, top)] * g.d))
-        assert _path_can_cost(g, path, other, base) == (other in sums)
+        other = data.draw(st.lists(st.tuples(*[st.integers(0, top)] * g.d), max_size=4))
+        costs = set(reachable + other + [base])
+        assert _path_costs(g, path, costs, base) == costs & sums
 
     @settings(max_examples=300, deadline=None)
     @given(multigraph_paths(), st.data())
-    def test_path_can_cost_matches_brute_force(self, case, data):
-        self.check_path_can_cost(case, data)
+    def test_path_costs_match_brute_force(self, case, data):
+        self.check_path_costs(case, data)
 
     @settings(max_examples=300, deadline=None)
     @given(multigraph_paths(dims=(1, 4)), st.data())
-    def test_path_can_cost_generic_walk_matches_brute_force(self, case, data):
+    def test_path_costs_generic_walk_matches_brute_force(self, case, data):
         # d=2 has its own pair walk; d=1 and d=4 take the tuple walk.
-        self.check_path_can_cost(case, data)
+        self.check_path_costs(case, data)
+
+    def test_path_costs_stay_linear_on_power_of_two_bypasses(self):
+        # Hop k has a direct arc and a bypass 2^(23-k) dearer in the first
+        # objective and as much cheaper in the second, so the 2^24 arc
+        # choices give 2^24 distinct sums.  Each stored cost is walked on its
+        # own, and the suffix bounds leave at most one remainder per hop; a
+        # walk over every partial sum inside the box the stored costs span
+        # would hold all 2^24 of them.
+        hops = 24
+        edges = []
+        for k in range(hops):
+            delta = 1 << (hops - 1 - k)
+            edges += [(k + 1, k + 2, (1, 1 + delta)), (k + 1, k + 2, (1 + delta, 1))]
+        g = MosGraph(hops + 1, tuple(edges), (Objective("a"), Objective("b")))
+        path = tuple(range(1, hops + 2))
+        top = (1 << hops) - 1
+        direct, bypass = (hops, hops + top), (hops + top, hops)
+        unreachable = (hops + (1 << 23), hops + (1 << 23))
+        base = path_cost(g, path)
+        assert base == direct
+        g._parallel_arcs  # the graph's table, built before tracing starts
+        with deadline(10):
+            tracemalloc.start()
+            try:
+                got = _path_costs(g, path, {direct, bypass, unreachable}, base)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert got == {direct, bypass}
+        assert peak < 1 << 20, peak
+
+    def test_mixed_block_reports_in_entry_order(self):
+        # A twin-arc chain 1 -> 5 with shortcuts: every choice along
+        # (1, 2, 3, 4, 5) costs (4 + j, 8 - j).  Five entries share that
+        # path, reachable and not, among entries on other paths and entries
+        # that fail their endpoint or arc checks.
+        chain = twin_arc_chain(4).edges
+        shortcuts = ((1, 3, (3, 3)), (3, 5, (2, 2)), (1, 5, (9, 9)))
+        g = MosGraph(5, chain + shortcuts, (Objective("a"), Objective("b")))
+        q = Query(1, 5, 0)
+        long = (1, 2, 3, 4, 5)
+        entries = (
+            SolutionEntry((5, 7), long),
+            SolutionEntry((9, 9), (1, 5)),
+            SolutionEntry((5, 8), long),
+            SolutionEntry((3, 3), (2, 3, 5)),
+            SolutionEntry((6, 6), long),
+            SolutionEntry((4, 4), (1, 3, 4)),
+            SolutionEntry((7, 7), (1, 4, 5)),
+            SolutionEntry((9, 4), long),
+            SolutionEntry((5, 5), (1, 3, 5)),
+            SolutionEntry((6, 5), (1, 3, 5)),
+            SolutionEntry((4, 8), long),
+        )
+        ss = SolutionSet(q, Epsilon.zero(2), entries)
+        want = pairwise_set_violations(ss.costs()) + witness_violations(g, q, ss)
+        kinds = [v.split(":")[0] for v in witness_violations(g, q, ss)]
+        assert kinds == [
+            "CostMismatch", "PathStart", "PathEnd", "PathBroken", "CostMismatch", "CostMismatch"
+        ]
+        assert verify_solutions(g, q, ss).violations == want
+        # Again on the same graph: the memo now answers every witness.
+        assert verify_solutions(g, q, ss).violations == want
 
     def test_pathless_entries_get_set_level_checks_only(self):
         g, q, ss = self.graph_and_set()
@@ -644,25 +705,37 @@ class TestWitnessMemo:
 
         gr, sets = workload_sols["road-multi-eps"]
         graph = read_graph(gr)
-        witness, can_cost = mosbench.protocol._witness_fault, mosbench.protocol._path_can_cost
-        settled, walked = [], []
+        costed, path_costs = mosbench.protocol.path_cost, mosbench.protocol._path_costs
+        costed_paths, walked = [], []
 
-        def counted_witness(g, path, cost):
-            settled.append((path, cost))
-            return witness(g, path, cost)
+        def counted_path_cost(g, path):
+            costed_paths.append(path)
+            return costed(g, path)
 
-        def counted_can_cost(g, path, cost, base):
-            walked.append((path, cost))
-            return can_cost(g, path, cost, base)
+        def counted_path_costs(g, path, costs, base):
+            walked.extend((path, c) for c in costs)
+            return path_costs(g, path, costs, base)
 
-        monkeypatch.setattr(mosbench.protocol, "_witness_fault", counted_witness)
-        monkeypatch.setattr(mosbench.protocol, "_path_can_cost", counted_can_cost)
+        monkeypatch.setattr(mosbench.protocol, "path_cost", counted_path_cost)
+        monkeypatch.setattr(mosbench.protocol, "_path_costs", counted_path_costs)
         assert all(verify_solutions(graph, ss.query, ss).clean for ss in sets)
+        # Each block costs once each distinct path among its witnesses that
+        # no earlier block of its query holds (the blocks of a query are
+        # consecutive): far fewer calls than entries.
+        want_paths, held, last = [], set(), None
+        for ss in sets:
+            if ss.query != last:
+                held, last = set(), ss.query
+            fresh = [e for e in ss.entries if (e.path, e.cost) not in held]
+            want_paths += sorted({e.path for e in fresh})
+            held |= {(e.path, e.cost) for e in fresh}
+        assert sorted(costed_paths) == sorted(want_paths)
+        assert len(costed_paths) < sum(ss.cardinality for ss in sets)
+        # One walk per witness whose stored cost is off its path's cheapest
+        # sum, once per query: the epsilon blocks' copies hit the memo.
         pairs = {(ss.query, e.path, e.cost) for ss in sets for e in ss.entries}
-        assert len(settled) == len(pairs) < sum(ss.cardinality for ss in sets)
         bypass = {(q, p, c) for q, p, c in pairs if path_cost(graph, p) != c}
         assert len(walked) == len(bypass) > 0
-        # The epsilon blocks repeat some of those witnesses: the memo hits.
         eps_bypass = {
             (ss.query, e.path, e.cost) for ss in sets if not ss.epsilon.is_zero for e in ss.entries
         } & bypass

@@ -10,7 +10,14 @@ import mosbench.core
 import mosbench.errors
 import mosbench.solve
 
-ORACLES = ("brute_force_pareto", "eps_dominates", "eps_covers", "weakly_dominates", "InstanceTooLarge")
+ORACLES = (
+    "arc_choice_sums",
+    "brute_force_pareto",
+    "eps_dominates",
+    "eps_covers",
+    "weakly_dominates",
+    "InstanceTooLarge",
+)
 
 
 def test_all_matches_imports_and_leaves_out_oracles():
