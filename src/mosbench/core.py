@@ -114,17 +114,17 @@ class MosGraph:
         return len(self.edges)
 
     @cached_property
-    def _min_edge_cost(self) -> dict[tuple[int, int], Cost]:
-        # Parallel edges collapse to the lexicographically smallest cost here;
-        # path_cost uses this map, solvers see every parallel edge separately.
+    def _min_edge_cost(self) -> list[dict[int, Cost]]:
+        # Row u maps each head v of an arc u -> v to its lexicographically
+        # smallest cost (row 0 is unused): parallel edges collapse here for
+        # path_cost, while solvers see every parallel edge separately.
         with collector_paused():
-            best: dict[tuple[int, int], Cost] = {}
+            rows: list[dict[int, Cost]] = [{} for _ in range(self.num_vertices + 1)]
             for u, v, cost in self.edges:
-                key = (u, v)
-                cur = best.get(key)
-                if cur is None or cost < cur:
-                    best[key] = cost
-        return best
+                row = rows[u]
+                if v not in row or cost < row[v]:
+                    row[v] = cost
+        return rows
 
     @cached_property
     def _parallel_arcs(self) -> dict[tuple[int, int], tuple[tuple[Cost, ...], Cost, Cost]]:
@@ -135,24 +135,13 @@ class MosGraph:
         with collector_paused():
             deltas: dict[tuple[int, int], set[Cost]] = {}
             for u, v, cost in self.edges:
-                base = best[u, v]
+                base = best[u][v]
                 if cost != base:
                     deltas.setdefault((u, v), {(0,) * self.d}).add(tuple(map(sub, cost, base)))
             return {
                 hop: (tuple(sorted(ds)), tuple(map(min, zip(*ds))), tuple(map(max, zip(*ds))))
                 for hop, ds in deltas.items()
             }
-
-    def _witness_memo(self, query: Query) -> tuple[dict, list]:
-        # verify_solutions' memo of one query's witnesses on this graph: the
-        # outcomes it has entered by (path, stored cost), and the last block
-        # whose new outcomes are not entered yet.  Only the last query's
-        # memo is held: asking for another query (another index or other
-        # endpoints) replaces it, so it keeps at most one query's witnesses.
-        held = self.__dict__.get("_witnesses")
-        if held is None or held[0] != query:
-            held = self.__dict__["_witnesses"] = (query, {}, [])
-        return held[1], held[2]
 
     @cached_property
     def _columns(self) -> tuple[itemgetter, ...]:
@@ -308,25 +297,32 @@ class SolutionSet:
 def path_cost(graph: MosGraph, path: Sequence[int]) -> Cost:
     """Sum edge costs along a vertex path; a single vertex costs zero.
 
-    Parallel edges resolve to the lexicographically smallest cost.  Raises
-    NonEdge for an empty path, naming the first out-of-range vertex, or
-    naming the first consecutive pair that is not an arc.  Those checks run
-    only when a hop is not an arc or the path has under two vertices: a
-    path of arcs has every vertex in range.
+    Parallel edges resolve to the lexicographically smallest cost: hop
+    (u, v) is one lookup of v in row u of the graph's per-tail table.
+    Raises NonEdge for an empty path, naming the first out-of-range vertex,
+    or naming the first consecutive pair that is not an arc.  Those checks
+    run only when a lookup fails.  A row holds only heads in 1..n, so when
+    every hop is found each vertex after the first is in range.  The first
+    is checked before any row is read, since the table is a list and an
+    index below 0 would read one of its last rows; a later tail beyond n
+    raises IndexError, which counts as a failed lookup.
     """
-    arcs = list(map(graph._min_edge_cost.get, zip(path, path[1:])))
-    if arcs and None not in arcs:
-        return tuple([sum(map(column, arcs)) for column in graph._columns])
+    n = graph.num_vertices
+    if path and 1 <= path[0] <= n:
+        rows = graph._min_edge_cost
+        try:
+            arcs = list(map(dict.get, map(rows.__getitem__, path[:-1]), path[1:]))
+        except IndexError:
+            arcs = [None]
+        if None not in arcs:
+            return tuple([sum(map(column, arcs)) for column in graph._columns])
     if not path:
         raise NonEdge("empty path")
-    n = graph.num_vertices
     for v in path:
         if not 1 <= v <= n:
             raise NonEdge(f"path vertex {v} out of range 1..{n}")
-    if arcs:
-        i = arcs.index(None)
-        raise NonEdge(f"({path[i]}, {path[i + 1]}) is not an arc of the graph")
-    return (0,) * graph.d
+    i = arcs.index(None)
+    raise NonEdge(f"({path[i]}, {path[i + 1]}) is not an arc of the graph")
 
 
 def _path_costs(
@@ -340,16 +336,22 @@ def _path_costs(
     more than one distinct arc cost can change that; their alternatives come
     from the graph's cached table of deltas over the smallest arc.  Those
     hops, and the componentwise [min, max] delta sums of the hops after
-    each of them, are listed once per path.  Each cost is then walked on
-    its own, hop by hop, over the set of remainders still to be covered,
-    each kept only while it lies within the bounds of the hops after the
-    current one.  The cost is reachable when the zero vector is left; since
-    every hop has the zero delta, a zero remainder stays within every later
-    bound and ends that cost's walk.  Equal remainders merge, so one walk
-    grows with the number of distinct partial sums, not of arc choices.
-    For d=2 the walks run on (r1, r2) pairs against scalar bounds.
+    each of them, are listed once per path.  The hops are taken in
+    decreasing order of their largest delta component (sums commute, so
+    the order changes no result): when each hop's deltas outweigh those of
+    all hops after it, as powers of two do, the bounds of the hops left
+    admit one choice per hop, where path order could keep every partial
+    sum.  Each cost is then walked on its own, hop by hop, over the set of
+    remainders still to be covered, each kept only while it lies within
+    the bounds of the hops after the current one.  The cost is reachable
+    when the zero vector is left; since every hop has the zero delta, a
+    zero remainder stays within every later bound and ends that cost's
+    walk.  Equal remainders merge, so one walk grows with the number of
+    distinct partial sums, not of arc choices.  For d=2 the walks run on
+    (r1, r2) pairs against scalar bounds.
     """
     multi = [h for h in map(graph._parallel_arcs.get, zip(path, path[1:])) if h]
+    multi.sort(key=lambda h: max(h[2]), reverse=True)
     reached: set[Cost] = set()
     if graph.d == 2:
         bounds = []

@@ -204,18 +204,11 @@ def verify_solutions(
     pairwise, in entry order, to name the first entry that dominates it.
 
     Witnesses are checked in two passes.  The first, in entry order, checks
-    each path's endpoints and looks its (path, stored cost) pair up in the
-    query's memo; the entries left are grouped by path.  The second costs
-    each distinct path once (_witness_faults): the entries of a front that
-    differ only in which parallel arcs they take share one path_cost and
-    one walk setup.  Violations are reported in entry order all the same.
-
-    A witness is costed once per (path, stored cost) pair of the query: the
-    graph keeps the outcomes of the last query verified on it, so the
-    copies an epsilon block holds of its exact block's entries reuse them
-    with their own entry index.  A block's outcomes are entered in that
-    memo only when a later block of the same query comes.  Verifying
-    another query drops them.
+    each path's endpoints and groups the witnesses left by path.  The
+    second costs each distinct path once (_witness_faults): the entries of
+    a front that differ only in which parallel arcs they take share one
+    path_cost and one walk setup.  Violations are reported in entry order
+    all the same.
     """
     v: list[str] = []
     d = graph.d
@@ -238,42 +231,27 @@ def verify_solutions(
             if i != j and dominates(cj, ci):
                 v.append(f"DominanceViolation: entry {i} is dominated by entry {j}")
                 break
-    settled, unentered = graph._witness_memo(query)
-    for block, new, bad in unentered:
-        for i in new:
-            e = block.entries[i]
-            settled[e.path, e.cost] = bad.get(i, ())
-    unentered.clear()
     source, target = query.source, query.target
     entries = solset.entries
     found: dict[int, tuple[str, str]] = {}
-    fresh: dict[tuple[int, ...], list[int]] = {}
+    by_path: dict[tuple[int, ...], list[int]] = {}
     for i, entry in enumerate(entries):
         p = entry.path
         if p is None:
             continue
         if p and p[0] != source:
             found[i] = ("PathStart", f" starts at {p[0]}, query source is {source}")
-            continue
-        if p and p[-1] != target:
+        elif p and p[-1] != target:
             found[i] = ("PathEnd", f" ends at {p[-1]}, query target is {target}")
-            continue
-        fault = settled.get((p, entry.cost)) if settled else None
-        if fault is None:
-            fresh.setdefault(p, []).append(i)
-        elif fault:
-            found[i] = fault
-    new: list[int] = []
-    bad: dict[int, tuple[str, str]] = {}
-    for p, group in fresh.items():
+        else:
+            by_path.setdefault(p, []).append(i)
+    for p, group in by_path.items():
         faults = _witness_faults(graph, p, {entries[i].cost for i in group})
-        new += group
         if faults:
             for i in group:
                 fault = faults.get(entries[i].cost)
                 if fault:
-                    found[i] = bad[i] = fault
-    unentered.append((solset, new, bad))
+                    found[i] = fault
     v += [f"{kind}: entry {i}{text}" for i, (kind, text) in sorted(found.items())]
     return VerificationReport(v)
 

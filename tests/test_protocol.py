@@ -279,10 +279,9 @@ def pairwise_set_violations(costs):
 def witness_violations(graph, query, solset):
     """verify_solutions's witness checks as a loop of their own: the reference.
 
-    A witness whose hops are all arcs sums each hop's cheapest arc with
-    zip(*); reference_path_cost costs every other witness or names its error.
-    A stored cost other than that sum passes when some choice of arcs sums
-    to it (arc_choice_sums).
+    reference_path_cost sums each hop's cheapest arc or names the witness's
+    error.  A stored cost other than that sum passes when some choice of
+    arcs sums to it (arc_choice_sums).
     """
     out = []
     for i, entry in enumerate(solset.entries):
@@ -295,15 +294,11 @@ def witness_violations(graph, query, solset):
         if p and p[-1] != query.target:
             out.append(f"PathEnd: entry {i} ends at {p[-1]}, query target is {query.target}")
             continue
-        arcs = [graph._min_edge_cost.get(hop) for hop in zip(p, p[1:])]
-        if arcs and None not in arcs:
-            rc = tuple(map(sum, zip(*arcs)))
-        else:
-            try:
-                rc = reference_path_cost(graph, p)
-            except NonEdge as exc:
-                out.append(f"PathBroken: entry {i}: {exc}")
-                continue
+        try:
+            rc = reference_path_cost(graph, p)
+        except NonEdge as exc:
+            out.append(f"PathBroken: entry {i}: {exc}")
+            continue
         if rc != entry.cost and entry.cost not in arc_choice_sums(graph, p):
             out.append(f"CostMismatch: entry {i} stores {entry.cost}, path recomputes to {rc}")
     return out
@@ -486,27 +481,30 @@ class TestVerifySolutions:
         # d=2 has its own pair walk; d=1 and d=4 take the tuple walk.
         self.check_path_costs(case, data)
 
-    def test_path_costs_stay_linear_on_power_of_two_bypasses(self):
-        # Hop k has a direct arc and a bypass 2^(23-k) dearer in the first
-        # objective and as much cheaper in the second, so the 2^24 arc
-        # choices give 2^24 distinct sums.  Each stored cost is walked on its
-        # own, and the suffix bounds leave at most one remainder per hop; a
-        # walk over every partial sum inside the box the stored costs span
-        # would hold all 2^24 of them.
-        hops = 24
+    @pytest.mark.parametrize("order", ["decreasing", "increasing"])
+    def test_path_costs_stay_linear_on_power_of_two_bypasses(self, order):
+        # Each hop has a direct arc and a bypass dearer by a distinct power
+        # of two in the first objective and as much cheaper in the second,
+        # so the 2^20 arc choices give 2^20 distinct sums.  Each stored cost
+        # is walked on its own, the hops with the largest deltas first, and
+        # the suffix bounds leave at most one remainder per hop.  A walk
+        # over every partial sum inside the box the stored costs span, or
+        # a walk that takes the increasing deltas in path order, would hold
+        # up to all 2^20 of them.
+        hops = 20
         edges = []
         for k in range(hops):
-            delta = 1 << (hops - 1 - k)
+            delta = 1 << (hops - 1 - k if order == "decreasing" else k)
             edges += [(k + 1, k + 2, (1, 1 + delta)), (k + 1, k + 2, (1 + delta, 1))]
         g = MosGraph(hops + 1, tuple(edges), (Objective("a"), Objective("b")))
         path = tuple(range(1, hops + 2))
         top = (1 << hops) - 1
         direct, bypass = (hops, hops + top), (hops + top, hops)
-        unreachable = (hops + (1 << 23), hops + (1 << 23))
+        unreachable = (hops + (1 << (hops - 1)), hops + (1 << (hops - 1)))
         base = path_cost(g, path)
         assert base == direct
         g._parallel_arcs  # the graph's table, built before tracing starts
-        with deadline(10):
+        with deadline(2):
             tracemalloc.start()
             try:
                 got = _path_costs(g, path, {direct, bypass, unreachable}, base)
@@ -546,7 +544,7 @@ class TestVerifySolutions:
             "CostMismatch", "PathStart", "PathEnd", "PathBroken", "CostMismatch", "CostMismatch"
         ]
         assert verify_solutions(g, q, ss).violations == want
-        # Again on the same graph: the memo now answers every witness.
+        # Again on the same graph: verify keeps nothing between calls.
         assert verify_solutions(g, q, ss).violations == want
 
     def test_pathless_entries_get_set_level_checks_only(self):
@@ -657,7 +655,7 @@ def tampered_copy(rng, sets, num_vertices):
 
 
 def fresh_graph_reports(gr, blocks):
-    """verify_solutions with no memo to reuse: each block on a freshly read graph."""
+    """verify_solutions with each block on a freshly read graph."""
     return [verify_solutions(read_graph(gr), ss.query, ss) for ss in blocks]
 
 
@@ -667,21 +665,15 @@ def one_graph_reports(gr, blocks):
     return [verify_solutions(graph, ss.query, ss) for ss in blocks]
 
 
-def held_witnesses(graph, query):
-    """The (path, cost) pairs whose outcomes the graph keeps for query."""
-    settled, unentered = graph._witness_memo(query)
-    held = set(settled)
-    for block, new, _ in unentered:
-        held |= {(block.entries[i].path, block.entries[i].cost) for i in new}
-    return held
-
-
 def same_reports(got, want):
     assert [r.violations for r in got] == [r.violations for r in want]
     assert [r.clean for r in got] == [r.clean for r in want]
 
 
 class TestWitnessMemo:
+    """Blocks verified one after another on one graph report what each
+    block reports on a freshly read graph: verify keeps no state."""
+
     @pytest.mark.parametrize("name", ["grid", "road", "road-multi-eps"])
     def test_untouched_files_are_clean(self, workload_sols, name):
         gr, sets = workload_sols[name]
@@ -700,7 +692,9 @@ class TestWitnessMemo:
             dirty += sum(not r.clean for r in want)
         assert dirty >= 40
 
-    def test_each_distinct_witness_is_settled_once_per_query(self, workload_sols, monkeypatch):
+    def test_each_distinct_witness_path_is_costed_once_per_block(
+        self, workload_sols, monkeypatch
+    ):
         import mosbench.protocol
 
         gr, sets = workload_sols["road-multi-eps"]
@@ -719,27 +713,31 @@ class TestWitnessMemo:
         monkeypatch.setattr(mosbench.protocol, "path_cost", counted_path_cost)
         monkeypatch.setattr(mosbench.protocol, "_path_costs", counted_path_costs)
         assert all(verify_solutions(graph, ss.query, ss).clean for ss in sets)
-        # Each block costs once each distinct path among its witnesses that
-        # no earlier block of its query holds (the blocks of a query are
-        # consecutive): far fewer calls than entries.
-        want_paths, held, last = [], set(), None
-        for ss in sets:
-            if ss.query != last:
-                held, last = set(), ss.query
-            fresh = [e for e in ss.entries if (e.path, e.cost) not in held]
-            want_paths += sorted({e.path for e in fresh})
-            held |= {(e.path, e.cost) for e in fresh}
+        # Each block costs each distinct path among its witnesses once: far
+        # fewer calls than entries.
+        want_paths = [p for ss in sets for p in sorted({e.path for e in ss.entries})]
         assert sorted(costed_paths) == sorted(want_paths)
         assert len(costed_paths) < sum(ss.cardinality for ss in sets)
-        # One walk per witness whose stored cost is off its path's cheapest
-        # sum, once per query: the epsilon blocks' copies hit the memo.
-        pairs = {(ss.query, e.path, e.cost) for ss in sets for e in ss.entries}
-        bypass = {(q, p, c) for q, p, c in pairs if path_cost(graph, p) != c}
-        assert len(walked) == len(bypass) > 0
-        eps_bypass = {
-            (ss.query, e.path, e.cost) for ss in sets if not ss.epsilon.is_zero for e in ss.entries
-        } & bypass
-        assert eps_bypass
+        # One walk per distinct witness of a block whose stored cost is off
+        # its path's cheapest sum; the epsilon blocks walk their copies again.
+        bypass = [
+            (e.path, e.cost)
+            for ss in sets
+            for e in set(ss.entries)
+            if path_cost(graph, e.path) != e.cost
+        ]
+        assert sorted(walked) == sorted(bypass)
+        eps_entries = {e for ss in sets if not ss.epsilon.is_zero for e in ss.entries}
+        assert any(path_cost(graph, e.path) != e.cost for e in eps_entries)
+
+    def test_verify_leaves_the_graph_as_it_found_it(self, workload_sols):
+        gr, sets = workload_sols["road-multi-eps"]
+        graph = read_graph(gr)
+        graph._min_edge_cost, graph._parallel_arcs, graph._columns
+        held = set(vars(graph))
+        for ss in sets:
+            verify_solutions(graph, ss.query, ss)
+        assert set(vars(graph)) == held
 
     def test_interleaved_queries_match_fresh_graph_oracle(self, workload_sols):
         gr, sets = workload_sols["road-multi-eps"]
@@ -764,34 +762,6 @@ class TestWitnessMemo:
             "PathStart: entry 0 starts at 1, query source is 2",
             "PathStart: entry 1 starts at 1, query source is 2",
         ]
-        assert held_witnesses(g, other) == set()
-
-    def test_graph_holds_only_the_last_querys_witnesses(self, workload_sols):
-        gr, sets = workload_sols["road-multi-eps"]
-        graph = read_graph(gr)
-        for ss in sets:
-            verify_solutions(graph, ss.query, ss)
-        last = sets[-1].query
-        held = {(e.path, e.cost) for ss in sets if ss.query == last for e in ss.entries}
-        assert held_witnesses(graph, last) == held
-
-    def test_memory_held_is_bounded_by_one_query(self, workload_sols):
-        gr, sets = workload_sols["road-multi-eps"]
-        queries = sorted({ss.query for ss in sets})
-
-        def retained(blocks) -> int:
-            graph = read_graph(gr)
-            graph._min_edge_cost, graph._parallel_arcs, graph._columns
-            tracemalloc.start()
-            try:
-                for ss in blocks:
-                    verify_solutions(graph, ss.query, ss)
-                return tracemalloc.get_traced_memory()[0]
-            finally:
-                tracemalloc.stop()
-
-        per_query = [retained([ss for ss in sets if ss.query == q]) for q in queries]
-        assert retained(sets) <= max(per_query) + 1024, per_query
 
 
 class TestVerifyCoverage:
