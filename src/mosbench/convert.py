@@ -12,6 +12,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 
 from .core import Cost, MosGraph, Objective, collector_paused
@@ -204,22 +205,18 @@ def extend_dimacs(
         degree[u] += 1
         degree[v] += 1
     elev = elevation.values
-    edges: list[tuple[int, int, Cost]] = []
-    for u, v, cost in graph.edges:
-        extra: list[int] = [abs(elev[v - 1] - elev[u - 1])]
-        if target_d >= 4:
-            extra.append(degree[u] + degree[v])
-        if target_d >= 5:
-            extra.append(1)
-        edges.append((u, v, cost + tuple(extra)))
-    objectives = list(graph.objectives) + [Objective("elevation", elevation.scale)]
-    if target_d >= 4:
-        objectives.append(Objective("degree", 2))
-    if target_d >= 5:
-        objectives.append(Objective("hops", 1))
+    extras = (
+        (Objective("elevation", elevation.scale), lambda u, v: abs(elev[v - 1] - elev[u - 1])),
+        (Objective("degree", 2), lambda u, v: degree[u] + degree[v]),
+        (Objective("hops", 1), lambda u, v: 1),
+    )[: target_d - 2]
+    edges = tuple(
+        (u, v, cost + tuple(extra(u, v) for _, extra in extras)) for u, v, cost in graph.edges
+    )
+    objectives = graph.objectives + tuple(objective for objective, _ in extras)
     metadata = dict(graph.metadata)
     metadata["extended_to_d"] = str(target_d)
-    return MosGraph(graph.num_vertices, tuple(edges), tuple(objectives), metadata)
+    return MosGraph(graph.num_vertices, edges, objectives, metadata)
 
 
 def extract_connected_subgraph(
@@ -415,20 +412,6 @@ def guards_to_graph(grid: GuardGrid) -> MosGraph:
     )
 
 
-def guards_cell_vertex(grid: GuardGrid, row: int, col: int) -> int:
-    """Vertex id of a passable cell (row-major rank); raises on impassable."""
-    if not (0 <= row < grid.height and 0 <= col < grid.width):
-        raise RootOutOfRange(f"cell ({row}, {col}) outside the grid")
-    target = grid.cell(row, col)
-    if not grid.passable[target]:
-        raise RootOutOfRange(f"cell ({row}, {col}) is impassable")
-    rank = 0
-    for idx in range(target + 1):
-        if grid.passable[idx]:
-            rank += 1
-    return rank
-
-
 @dataclass(frozen=True)
 class ClearanceRoadmap:
     """A 7-DOF manipulator roadmap with per-link obstacle clearances.
@@ -544,31 +527,25 @@ def panda_apply_clearance(
     delta = Fraction(delta)
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    if mode not in ("bi", "many"):
+    # Each penalty objective: its name and the clearance it penalizes.
+    bands = {
+        "bi": (("clearance", min),),
+        "many": tuple((f"link{i}", itemgetter(i - 1)) for i in range(1, 8)),
+    }.get(mode)
+    if bands is None:
         raise ValueError(f"mode must be 'bi' or 'many', got {mode!r}")
     edges: list[tuple[int, int, Cost]] = []
     for u, v, jd, cls in roadmap.edges:
-        if mode == "bi":
-            cost: Cost = (
-                _fixed(jd),
-                _fixed(clearance_penalty(min(cls), delta)),
-            )
-        else:
-            cost = (_fixed(jd),) + tuple(
-                _fixed(clearance_penalty(d, delta)) for d in cls
-            )
+        cost = (_fixed(jd),) + tuple(
+            _fixed(clearance_penalty(pick(cls), delta)) for _, pick in bands
+        )
         edges.append((u, v, cost))
         edges.append((v, u, cost))
-    if mode == "bi":
-        objectives = (Objective("length", FIXED_SCALE), Objective("clearance", FIXED_SCALE))
-    else:
-        objectives = (Objective("length", FIXED_SCALE),) + tuple(
-            Objective(f"link{i}", FIXED_SCALE) for i in range(1, 8)
-        )
     return MosGraph(
         num_vertices=len(roadmap.configurations),
         edges=tuple(edges),
-        objectives=objectives,
+        objectives=(Objective("length", FIXED_SCALE),)
+        + tuple(Objective(name, FIXED_SCALE) for name, _ in bands),
         metadata={
             "family": "panda",
             "mode": mode,

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import gc
 import statistics
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import add, itemgetter, le, lt, sub
-from typing import Iterable, Iterator, Sequence
+from operator import add, ge, itemgetter, le, lt, sub
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DegenerateInput,
@@ -410,13 +411,61 @@ def dominates(p: Sequence[int], q: Sequence[int]) -> bool:
     return all(map(le, p, q)) and any(map(lt, p, q))
 
 
+def _suffix_fronts(d: int, count: int) -> tuple[Callable[..., bool], Callable[..., None]]:
+    """count stores of non-dominated (d-1)-suffixes, each None until used.
+
+    Among costs met in lexicographic order, one is dominated exactly when an
+    earlier one's suffix c[1:] is <= its own.  dominated(v, s) asks whether
+    a suffix in store v is <= s; insert(v, s), for an s it rejected, adds s
+    and drops the suffixes s dominates.  d=3 keeps g2 ascending and g3
+    strictly descending (one bisect per check); other d scan a pool at C level.
+    """
+    if d == 3:
+        g2s: list[list[int] | None] = [None] * count
+        g3s: list[list[int] | None] = [None] * count
+
+        def dominated(v: int, s: Cost) -> bool:
+            a = g2s[v]
+            if a is None:
+                return False
+            i = bisect_right(a, s[0])
+            return i > 0 and g3s[v][i - 1] <= s[1]
+
+        def insert(v: int, s: Cost) -> None:
+            # s is not dominated at v; it replaces the run it dominates.
+            a = g2s[v]
+            if a is None:
+                a = g2s[v] = []
+                g3s[v] = []
+            b = g3s[v]
+            pos = j = bisect_left(a, s[0])
+            while j < len(b) and b[j] >= s[1]:
+                j += 1
+            a[pos:j] = (s[0],)
+            b[pos:j] = (s[1],)
+
+    else:
+        pools: list[list[Cost] | None] = [None] * count
+
+        def dominated(v: int, s: Cost) -> bool:
+            pool = pools[v]
+            return pool is not None and any(all(map(le, p, s)) for p in pool)
+
+        def insert(v: int, s: Cost) -> None:
+            keep = [p for p in pools[v] or () if not all(map(ge, p, s))]
+            keep.append(s)
+            pools[v] = keep
+
+    return dominated, insert
+
+
 def pareto_filter(costs: Iterable[Cost]) -> list[Cost]:
     """The non-dominated subset, deduplicated, sorted lexicographically.
 
-    After a lexicographic sort no vector can dominate an earlier one.  For
-    d=2 a vector is then dominated exactly when an earlier one has a second
-    cost no larger, so one sweep keeps the running minimum of the second
-    cost; other d sweep against the retained front.
+    After a lexicographic sort a vector is dominated exactly when an earlier
+    one has a suffix c[1:] no larger.  For d=2 that is the second cost, and
+    one sweep keeps its running minimum; other d ask one _suffix_fronts
+    store, inserting the suffix of each vector they keep.
     """
     pool = sorted(set(map(tuple, costs)))
     if not pool:
@@ -433,9 +482,11 @@ def pareto_filter(costs: Iterable[Cost]) -> list[Cost]:
                 front.append(c)
                 low = c[1]
         return front
+    dominated, insert = _suffix_fronts(d, 1)
     for c in pool:
-        if not any(all(map(le, k, c)) for k in front):
+        if not dominated(0, c[1:]):
             front.append(c)
+            insert(0, c[1:])
     return front
 
 

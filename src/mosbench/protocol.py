@@ -287,12 +287,12 @@ def verify_coverage(
     a' = (a_k * den_k) is <= t = (num_k * c_k) in every component and
     a' != t.  Equality is one set lookup.  The scaled approximate costs are
     sorted once, and for each c a bisect on the first component leaves the
-    prefix of candidates, scanned at C level from its end, nearest first,
-    as solve._eps_front scans.  That is one sort, one bisect per exact cost
-    and a scan of its prefix.  When the approximate costs form an antichain
-    at d=2, the prefix's last cost has its smallest second component, so
-    one test decides.  A cost whose width differs from eps.d, in either
-    set, raises DimensionMismatch naming the query.
+    prefix of candidates, scanned at C level from its end, nearest first.
+    That is one sort, one bisect per exact cost and a scan of its prefix.
+    When the approximate costs form an antichain at d=2, the prefix's last
+    cost has its smallest second component, so one test decides.  A cost
+    whose width differs from eps.d, in either set, raises DimensionMismatch
+    naming the query.
     """
     if exact.query != approx.query:
         raise QueryMismatch(

@@ -5,37 +5,39 @@ ordering of f = g + h, with the dimensionality-reduction dominance device:
 because labels of one vertex leave the open list in lexicographic order,
 their first f component is non-decreasing, so dominance among them only
 needs the (d-1)-suffix of g.  For d = 2 that suffix is a single scalar per
-vertex.  The target is an ordinary vertex (h = 0 there, so f = g): its
-closed set is the target bound (g2min[tgt] at d = 2, its suffix store
-otherwise), and a target label that passes the common prune test is
-recorded, not expanded, so a one-vertex query records its zero cost and
-ends.  Heap keys are single big integers packing (f, vertex, parent's closed
-id), which keeps comparisons cheap and memory flat.  Labels that tie on (f,
-vertex) have equal g, and closed ids grow in expansion order, so the pop
-order is the order of their parents' expansions.  Each expansion holds back
-its smallest child and the next pop is a heappushpop of it, which returns
-the same label a push and a pop would, often without moving anything in the
-heap.  A label that becomes dominated after its push stays in the heap until
-it is popped and discarded; nothing rebuilds the heap, so the open list
-grows with the pushes a search makes.  Arcs are read from the graph's
-per-vertex rows of its own edge tuples (MosGraph.out_arcs).
+vertex; other d keep one core._suffix_fronts store per vertex, the same
+structure pareto_filter and _eps_front use.  The target is an ordinary
+vertex (h = 0 there, so f = g): its closed set is the target bound
+(g2min[tgt] at d = 2, its suffix store otherwise), and a target label that
+passes the common prune test is recorded, not expanded, so a one-vertex
+query records its zero cost and ends.  Heap keys are single big integers
+packing (f, vertex, parent's closed id), which keeps comparisons cheap and
+memory flat.  Labels that tie on (f, vertex) have equal g, and closed ids
+grow in expansion order, so the pop order is the order of their parents'
+expansions.  Each expansion holds back its smallest child and the next pop
+is a heappushpop of it, which returns the same label a push and a pop
+would, often without moving anything in the heap.  A label that becomes
+dominated after its push stays in the heap until it is popped and
+discarded; nothing rebuilds the heap, so the open list grows with the
+pushes a search makes.  Arcs are read from the graph's per-vertex rows of
+its own edge tuples (MosGraph.out_arcs).
 
 The search only ever computes the exact Pareto front, in lexicographic
 order.  An epsilon-approximate front is derived from it by greedy
 admission: walk the exact entries in order and keep each one that no kept
-entry epsilon-covers.  Every exact cost is then covered by a kept one, and
-every kept cost is a true path cost with its witness path.
+entry epsilon-covers, asking one suffix store of the kept entries' scaled
+costs.  Every exact cost is then covered by a kept one, and every kept cost
+is a true path cost with its witness path.
 """
 from __future__ import annotations
 
 import heapq
 from array import array
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import ge, le, mul
+from operator import mul
 from time import monotonic
 
-from .core import Cost, Epsilon, MosGraph, Query, SolutionEntry, SolutionSet
+from .core import Cost, Epsilon, MosGraph, Query, SolutionEntry, SolutionSet, _suffix_fronts
 from .errors import (
     DimensionMismatch,
     SearchTimeout,
@@ -239,44 +241,8 @@ def _search_multi(
         f[0] = rest
         return f
 
-    # Closed (d-1)-suffixes per vertex (the target's are the found costs),
-    # None until the first insert.  d=3 keeps g2 ascending and g3 strictly
-    # descending, so a check is one bisect; other d scan a pool at C level.
-    if d == 3:
-        g2s: list[list[int] | None] = [None] * (n + 1)
-        g3s: list[list[int] | None] = [None] * (n + 1)
-
-        def dominated(v: int, s: tuple[int, ...]) -> bool:
-            a = g2s[v]
-            if a is None:
-                return False
-            i = bisect_right(a, s[0])
-            return i > 0 and g3s[v][i - 1] <= s[1]
-
-        def insert(v: int, s: tuple[int, ...]) -> None:
-            # s is not dominated at v; it replaces the run it dominates.
-            a = g2s[v]
-            if a is None:
-                a = g2s[v] = []
-                g3s[v] = []
-            b = g3s[v]
-            pos = j = bisect_left(a, s[0])
-            while j < len(b) and b[j] >= s[1]:
-                j += 1
-            a[pos:j] = (s[0],)
-            b[pos:j] = (s[1],)
-
-    else:
-        pools: list[list[tuple[int, ...]] | None] = [None] * (n + 1)
-
-        def dominated(v: int, s: tuple[int, ...]) -> bool:
-            pool = pools[v]
-            return pool is not None and any(all(map(le, p, s)) for p in pool)
-
-        def insert(v: int, s: tuple[int, ...]) -> None:
-            keep = [p for p in pools[v] or () if not all(map(ge, p, s))]
-            keep.append(s)
-            pools[v] = keep
+    # Closed (d-1)-suffixes per vertex; the target's are the found costs.
+    dominated, insert = _suffix_fronts(d, n + 1)
 
     closed_v = array("q", [0])
     closed_p = array("q", [0])
@@ -402,19 +368,23 @@ def _eps_front(exact: SolutionSet, eps: Epsilon) -> SolutionSet:
     (a_k * den_k) is <= the entry's (num_k * c_k) in every component.
     Exact entries are pairwise distinct and lexicographically sorted, so the
     all-components test cannot fire on an exactly equal vector and the
-    strictness clause of epsilon-dominance is automatic.
+    strictness clause of epsilon-dominance is automatic.  The sort also
+    settles the first component (a_1 <= c_1 and den_1 <= num_1), so one
+    _suffix_fronts store holds the kept (den_k * a_k) suffixes and is
+    asked about each (num_k * c_k) suffix.  Epsilon 0 keeps every entry.
     """
     _check_eps(eps, exact.epsilon.d)
     if eps.is_zero:
         return SolutionSet(exact.query, eps, exact.entries)
     nums, dens = zip(*eps.ratios())
+    nums, dens = nums[1:], dens[1:]
+    dominated, insert = _suffix_fronts(eps.d, 1)
     kept: list[SolutionEntry] = []
-    scaled: list[Cost] = []
     for e in exact.entries:
-        t = tuple(map(mul, nums, e.cost))
-        if not any(all(map(le, s, t)) for s in reversed(scaled)):
+        c = e.cost[1:]
+        if not dominated(0, tuple(map(mul, nums, c))):
             kept.append(e)
-            scaled.append(tuple(map(mul, e.cost, dens)))
+            insert(0, tuple(map(mul, dens, c)))
     return SolutionSet(exact.query, eps, tuple(kept))
 
 

@@ -6,8 +6,9 @@ import sys
 
 from hypothesis import strategies as st
 
+from mosbench.convert import GuardGrid
 from mosbench.core import MosGraph, Objective, Query
-from mosbench.errors import MosbenchError
+from mosbench.errors import MosbenchError, RootOutOfRange
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -76,6 +77,20 @@ def twin_arc_chain(hops: int) -> MosGraph:
         e for u in range(1, hops + 1) for e in ((u, u + 1, (1, 2)), (u, u + 1, (2, 1)))
     )
     return MosGraph(hops + 1, edges, (Objective("a"), Objective("b")))
+
+
+def guards_cell_vertex(grid: GuardGrid, row: int, col: int) -> int:
+    """Vertex id of a passable cell (row-major rank); raises on impassable."""
+    if not (0 <= row < grid.height and 0 <= col < grid.width):
+        raise RootOutOfRange(f"cell ({row}, {col}) outside the grid")
+    target = grid.cell(row, col)
+    if not grid.passable[target]:
+        raise RootOutOfRange(f"cell ({row}, {col}) is impassable")
+    rank = 0
+    for idx in range(target + 1):
+        if grid.passable[idx]:
+            rank += 1
+    return rank
 
 
 def read_outcome(read, path):

@@ -11,7 +11,7 @@ from itertools import product
 from operator import le, mul
 from typing import Sequence
 
-from mosbench.core import Cost, Epsilon, MosGraph, Query, SolutionEntry, SolutionSet, pareto_filter
+from mosbench.core import Cost, Epsilon, MosGraph, Query, SolutionEntry, SolutionSet
 from mosbench.errors import DimensionMismatch, MosbenchError
 from mosbench.solve import _check_vertex
 
@@ -73,10 +73,13 @@ def brute_force_pareto(
 ) -> SolutionSet:
     """Enumerate all simple source-to-target paths and filter.
 
-    Sound for cost-vector fronts because removing a non-negative cycle never
-    increases any component.  Counts complete paths and raises
-    InstanceTooLarge past max_paths.  Witness per front cost is the first
-    path found in DFS order (adjacency order, deterministic).
+    The filter is its own quadratic scan: a distinct cost is kept when no
+    other one weakly dominates it, so the front shares no code with the
+    suffix stores of the search and of pareto_filter.  Sound for
+    cost-vector fronts because removing a non-negative cycle never increases
+    any component.  Counts complete paths and raises InstanceTooLarge past
+    max_paths.  Witness per front cost is the first path found in DFS order
+    (adjacency order, deterministic).
     """
     _check_vertex(graph, query.source, "source")
     _check_vertex(graph, query.target, "target")
@@ -118,6 +121,7 @@ def brute_force_pareto(
             stack.pop()
             onpath.discard(path.pop())
             acc.pop()
-    front = pareto_filter(found.keys())
+    costs = sorted(found)
+    front = [c for c in costs if not any(k != c and weakly_dominates(k, c) for k in costs)]
     entries = tuple(SolutionEntry(c, found[c]) for c in front)
     return SolutionSet(query, Epsilon.zero(d), entries)

@@ -17,7 +17,6 @@ from mosbench.convert import (
     GuardGrid,
     clearance_penalty,
     extend_dimacs,
-    guards_cell_vertex,
     guards_to_graph,
     panda_apply_clearance,
     parse_dimacs,
@@ -43,7 +42,7 @@ from mosbench.protocol import (
 )
 from mosbench.solve import solve_approx, solve_exact
 
-from conftest import diamond_graph, random_graph
+from conftest import diamond_graph, guards_cell_vertex, random_graph
 from oracles import brute_force_pareto
 
 RESULTS: list[str] = []

@@ -20,7 +20,7 @@ from mosbench.formats import (
     write_queries,
     write_solutions,
 )
-from mosbench.protocol import read_records
+from mosbench.protocol import STATUS_TIMEOUT, BenchmarkRecord, read_records, records_to_csv
 
 from conftest import twin_arc_chain
 
@@ -638,6 +638,30 @@ class TestVerify:
         assert run_main(["verify", "--exact", tmp_path / "e.sol"]) == EXIT_USAGE
         capsys.readouterr()
 
+    def test_exact_file_without_blocks_exits_usage(self, tmp_path, capsys):
+        write_solutions([], tmp_path / "e.sol")
+        write_solutions([], tmp_path / "a.sol")
+        argv = ["verify", "--exact", tmp_path / "e.sol", "--approx", tmp_path / "a.sol"]
+        assert run_main(argv + ["--eps", "0.1"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: no solution sets in the exact file\n"
+
+    def test_exact_file_without_eps0_block_fails_its_query(self, tmp_path, capsys):
+        # Two blocks for query 0, neither at eps 0: nothing to cover from.
+        entries = (SolutionEntry((3, 4), None),)
+        sets = [
+            SolutionSet(Query(1, 2, 0), Epsilon.broadcast(value, 2), entries)
+            for value in ("0.05", "0.1")
+        ]
+        write_solutions(sets, tmp_path / "e.sol")
+        argv = ["verify", "--exact", tmp_path / "e.sol", "--approx", tmp_path / "e.sol"]
+        assert run_main(argv + ["--eps", "0.1"]) == EXIT_VERIFICATION
+        assert capsys.readouterr().out.splitlines() == [
+            "query 0: no eps=0 set in the exact file",
+            "coverage at eps=0.1: 0 pairs, 1 failures",
+        ]
+
 
 class TestStats:
     def test_cardinality_and_reduction(self, tmp_path, capsys):
@@ -772,6 +796,31 @@ class TestStats:
             )
             assert code == EXIT_OK
         capsys.readouterr()
+
+    def test_cardinality_reports_excluded_timeouts(self, tmp_path, capsys):
+        records = [
+            BenchmarkRecord("b", 0, "0", 4, 1.0),
+            BenchmarkRecord("b", 1, "0", 0, 9.0, status=STATUS_TIMEOUT),
+        ]
+        (tmp_path / "r.csv").write_text(records_to_csv(records))
+        argv = ["stats", "cardinality", "--records", tmp_path / "r.csv", "--eps", "0"]
+        assert run_main(argv) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == "excluded 1 timed-out records\n"
+        assert out.splitlines()[1].startswith("0,1,4,4,")
+
+    def test_spread_reports_excluded_axes(self, tmp_path, capsys):
+        # Query 0's front touches 0 on the first axis, which drops it there.
+        fronts = {Query(1, 2, 0): [(0, 5), (3, 1)], Query(1, 3, 1): [(2, 4)]}
+        sets = [
+            SolutionSet(q, Epsilon.zero(2), tuple(map(SolutionEntry, costs)))
+            for q, costs in fronts.items()
+        ]
+        write_solutions(sets, tmp_path / "s.sol")
+        assert run_main(["stats", "spread", "--solutions", tmp_path / "s.sol"]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == "excluded 1 query/axis pairs\n"
+        assert [row.split(",")[2:] for row in out.splitlines()[1:]] == [["1", "1"], ["2", "0"]]
 
     @pytest.mark.parametrize("spelling", ["0.1,0.1", "1/10,0.10"])
     def test_uniform_eps_list_matches_its_scalar(self, tmp_path, capsys, spelling):

@@ -17,7 +17,6 @@ from mosbench.convert import (
     clearance_penalty,
     extend_dimacs,
     extract_connected_subgraph,
-    guards_cell_vertex,
     guards_to_graph,
     panda_apply_clearance,
     parse_dimacs,
@@ -40,7 +39,7 @@ from mosbench.errors import (
     RootOutOfRange,
 )
 
-from conftest import ARC_BENDS, bent_arc_block, file_texts, read_outcome
+from conftest import ARC_BENDS, bent_arc_block, file_texts, guards_cell_vertex, read_outcome
 
 
 def write(tmp_path, name, text):

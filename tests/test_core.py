@@ -4,6 +4,7 @@ from __future__ import annotations
 import gc
 import random
 from fractions import Fraction
+from operator import le
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +14,7 @@ from mosbench.core import (
     Epsilon,
     MosGraph,
     Objective,
+    _suffix_fronts,
     collector_paused,
     correlation_matrix_from_costs,
     dominates,
@@ -245,6 +247,34 @@ class TestParetoFilter:
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionMismatch):
             pareto_filter([(1, 2), (1, 2, 3)])
+
+
+@st.composite
+def sorted_cost_streams(draw):
+    """d 1-5 and a lexicographically sorted list of d-vectors, with repeats
+    and zeros."""
+    d = draw(st.integers(1, 5))
+    pool = draw(st.lists(st.tuples(*[st.integers(0, 3)] * d), min_size=1, max_size=12))
+    costs = draw(st.lists(st.sampled_from(pool), max_size=40))
+    return d, sorted(costs)
+
+
+class TestSuffixFronts:
+    @settings(max_examples=400, deadline=None)
+    @given(sorted_cost_streams())
+    def test_matches_a_scan_of_every_inserted_suffix(self, case):
+        # The store drops suffixes that a later insert dominates; the scan
+        # keeps every one, so it checks that dropping loses no answer.
+        d, costs = case
+        dominated, insert = _suffix_fronts(d, 1)
+        inserted = []
+        for c in costs:
+            s = c[1:]
+            want = any(all(map(le, p, s)) for p in inserted)
+            assert dominated(0, s) == want
+            if not want:
+                insert(0, s)
+                inserted.append(s)
 
 
 def reference_path_cost(graph: MosGraph, path):

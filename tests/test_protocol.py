@@ -24,6 +24,7 @@ from mosbench.core import (
     SolutionSet,
     _path_costs,
     dominates,
+    pareto_filter,
     path_cost,
 )
 from mosbench.errors import (
@@ -57,7 +58,7 @@ from mosbench.protocol import (
     verify_coverage,
     verify_solutions,
 )
-from mosbench.solve import solve_approx, solve_exact
+from mosbench.solve import _eps_front, solve_approx, solve_exact
 
 from conftest import diamond_graph, random_graph, twin_arc_chain
 from oracles import arc_choice_sums, eps_covers
@@ -930,6 +931,33 @@ class TestCoverageSweep:
         eps = Epsilon.broadcast(Fraction(1, 10), 2)
         with pytest.raises(DimensionMismatch):
             verify_coverage(self.as_set(exact, eps), self.as_set(approx, eps), eps)
+
+
+class TestSuffixFrontFilters:
+    """verify's Pareto filter and run_benchmark's epsilon filter at d=3."""
+
+    N = 10_000
+
+    def antichain(self):
+        return [(i, self.N - i, 0) for i in range(self.N)]
+
+    def test_pareto_filter_keeps_a_d3_antichain_in_near_linear_time(self):
+        # Every suffix (N - i, 0) replaces the one before it, so each check
+        # is one bisect where a sweep over the kept front is quadratic.
+        costs = self.antichain()
+        with deadline(2):
+            front = pareto_filter(costs)
+        assert front == costs
+
+    def test_eps_front_keeps_a_d3_antichain_in_near_linear_time(self):
+        # No kept cost covers a later one in the second objective, so the
+        # whole front is kept; the first objective's slack changes nothing.
+        entries = tuple(SolutionEntry(c, (1, 2)) for c in self.antichain())
+        exact = SolutionSet(Query(1, 2, 0), Epsilon.zero(3), entries)
+        eps = Epsilon((Fraction(1, 10), Fraction(0), Fraction(0)))
+        with deadline(2):
+            got = _eps_front(exact, eps)
+        assert got.entries == entries
 
 
 def rec(card, eps="0", status=STATUS_SOLVED, bench="x", qidx=0):
