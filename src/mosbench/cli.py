@@ -8,7 +8,7 @@ from pathlib import Path
 from typing import Callable, TypeVar
 
 from . import convert, formats, generate, protocol
-from .core import Epsilon, SolutionSet
+from .core import Epsilon, SolutionSet, _fraction_text
 from .errors import MosbenchError
 
 EXIT_OK = 0
@@ -313,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     sol = sub.add_parser("solve", help="run the evaluation protocol", formatter_class=fmt)
     sol.add_argument("--graph", required=True, help="graph file")
     sol.add_argument("--queries", required=True, help="query file")
-    sol.add_argument("--eps", default="0,0.01,0.05,0.1", help="comma list of scalar epsilon grid points")
+    eps_default = ",".join(map(_fraction_text, protocol.EpsilonGrid().values))
+    sol.add_argument("--eps", default=eps_default, help="comma list of scalar epsilon grid points")
     sol.add_argument("--eps-vec", action="append", help="extra per-objective epsilon point (repeatable)")
     sol.add_argument("--timeout", type=float, default=300.0, help="per-query search time limit in seconds")
     sol.add_argument("--name", default=None, help="benchmark name for the records CSV")

@@ -144,8 +144,6 @@ def generate_netmaker(spec: NetMakerSpec) -> MosGraph:
     local: list[tuple[int, int]] = []
     for u in range(1, n + 1):
         need = targets[u] - 1
-        if need <= 0:
-            continue
         lo = max(1, u - half)
         hi = min(n, u + half)
         candidates = [w for w in range(lo, hi + 1) if w != u and w != cycle_succ[u]]

@@ -13,11 +13,10 @@ from __future__ import annotations
 import csv
 import io
 import math
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import le, mul
+from operator import mul
 from pathlib import Path
 from time import monotonic
 from typing import Callable, Iterable, Sequence
@@ -30,6 +29,7 @@ from .core import (
     SolutionSet,
     _fraction_text,
     _path_costs,
+    _suffix_fronts,
     correlation_matrix_from_costs,
     dominates,
     objective_correlation_matrix,
@@ -285,14 +285,13 @@ def verify_coverage(
     With (num_k, den_k) the fraction form of 1 + eps_k, an approximate cost
     a covers an exact cost c when a == c, or when its scaled form
     a' = (a_k * den_k) is <= t = (num_k * c_k) in every component and
-    a' != t.  Equality is one set lookup.  The scaled approximate costs are
-    sorted once, and for each c a bisect on the first component leaves the
-    prefix of candidates, scanned at C level from its end, nearest first.
-    That is one sort, one bisect per exact cost and a scan of its prefix.
-    When the approximate costs form an antichain at d=2, the prefix's last
-    cost has its smallest second component, so one test decides.  A cost
-    whose width differs from eps.d, in either set, raises DimensionMismatch
-    naming the query.
+    a' != t.  Equality is one set lookup.  Such an a' sorts below t, and an
+    a' below t has a'[0] <= t[0], so one sweep over both sorted lists
+    (linear on canonical blocks) decides the rest: the suffix of each a'
+    strictly below t, popped lowest first, goes into a _suffix_fronts store,
+    then c is covered when the store holds a suffix <= t[1:].  A cost whose
+    width differs from eps.d, in either set, raises DimensionMismatch naming
+    the query.
     """
     if exact.query != approx.query:
         raise QueryMismatch(
@@ -309,16 +308,18 @@ def verify_coverage(
         )
     nums, dens = zip(*eps.ratios())
     present = set(approx_costs)
-    scaled = sorted({tuple(map(mul, a, dens)) for a in approx_costs})
-    firsts = [s[0] for s in scaled]
-    uncovered = []
-    for c in exact_costs:
-        if c in present:
-            continue
-        t = tuple(map(mul, nums, c))
-        i = bisect_right(firsts, t[0])
-        if not any(all(map(le, s, t)) and s != t for s in reversed(scaled[:i])):
-            uncovered.append(c)
+    scaled = sorted((tuple(map(mul, a, dens)) for a in approx_costs), reverse=True)
+    targets = sorted((tuple(map(mul, nums, c)), c) for c in exact_costs if c not in present)
+    dominated, insert = _suffix_fronts(d, 1)
+    missed = set()
+    for t, c in targets:
+        while scaled and scaled[-1] < t:
+            s = scaled.pop()[1:]
+            if not dominated(0, s):
+                insert(0, s)
+        if not dominated(0, t[1:]):
+            missed.add(c)
+    uncovered = [c for c in exact_costs if c in missed]
     return (not uncovered, uncovered)
 
 

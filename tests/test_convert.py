@@ -462,9 +462,29 @@ class TestGuardMap:
             # each malformed header case breaks on its last line
             assert err.value.line_number == text.count("\n")
 
-    def test_grid_invariant_enforced(self):
-        with pytest.raises(BadToken):
-            GuardGrid(2, 1, (True, False), (0, 3))
+    def test_missing_map_line_names_the_end(self, tmp_path):
+        with pytest.raises(Malformed) as err:
+            parse_guards_map(write(tmp_path, "m.map", "height 1\nwidth 2\n"))
+        assert (err.value.line_number, err.value.reason) == (2, "missing 'map' line")
+
+    def test_blank_lines_skipped(self, tmp_path):
+        spaced = "\nheight 2\n\nwidth 3\nmap\n0 @ 2\n  \n1 2 0\n\n"
+        assert parse_guards_map(write(tmp_path, "m.map", spaced)) == parse_guards_map(
+            write(tmp_path, "plain.map", GUARD_MAP)
+        )
+
+    @pytest.mark.parametrize(
+        "args,exc",
+        [
+            ((2, 1, (True, False), (0, 3)), BadToken),
+            ((2, 1, (True, True), (0, -1)), BadToken),
+            ((0, 1, (), ()), DimensionMismatch),
+            ((2, 1, (True,), (0,)), DimensionMismatch),
+        ],
+    )
+    def test_grid_invariant_enforced(self, args, exc):
+        with pytest.raises(exc):
+            GuardGrid(*args)
 
 
 def brute_guard_edges(grid: GuardGrid):
@@ -630,6 +650,47 @@ class TestRoadmap:
         with pytest.raises(Malformed) as err:
             read_roadmap(write(tmp_path, "r.pan", text))
         assert (err.value.line_number, err.value.reason) == (1, message)
+
+    @pytest.mark.parametrize(
+        "text,line,message",
+        [
+            ("p panda 1 0\np panda 1 0\n", 2, "duplicate problem line"),
+            ("p panda 2\n", 1, "expected 'p panda V E', got 'p panda 2'"),
+            ("e 1 1 1 1 1 1 1 1 1 1\n", 1, "edge before problem line"),
+            (
+                "p panda 1 1\nv 0 0 0 0 0 0 0\ne 1 1 1 1 1 1 1 1 1\n",
+                3,
+                "expected 'e u v dist' plus 7 clearances, got 10 fields",
+            ),
+            (
+                "p panda 1 0\nv 0 0 0 1e5 0 0 0\n",
+                2,
+                "joint value: expected a decimal number, got '1e5'",
+            ),
+            (
+                "p panda 1 1\nv 0 0 0 0 0 0 0\ne 1 1 1 1 1 0.0000001 1 1 1 1\n",
+                3,
+                "clearance: more than 6 decimal places in '0.0000001'",
+            ),
+        ],
+    )
+    def test_line_errors_are_named(self, tmp_path, text, line, message):
+        with pytest.raises(Malformed) as err:
+            read_roadmap(write(tmp_path, "r.pan", text))
+        assert (err.value.line_number, err.value.reason) == (line, message)
+
+    @pytest.mark.parametrize(
+        "configs,edge,exc",
+        [
+            ((0,) * 6, (1, 2, 1, (1,) * 7), DimensionMismatch),
+            ((0,) * 7, (1, 3, 1, (1,) * 7), Malformed),
+            ((0,) * 7, (1, 2, -1, (1,) * 7), Malformed),
+            ((0,) * 7, (1, 2, 1, (1,) * 6), DimensionMismatch),
+        ],
+    )
+    def test_constructor_rejects(self, configs, edge, exc):
+        with pytest.raises(exc):
+            ClearanceRoadmap((configs, configs), (edge,))
 
     def test_nonpositive_clearance_rejected(self, tmp_path):
         bad = (

@@ -185,6 +185,10 @@ class TestEpsilonType:
         with pytest.raises(ValueError):
             Epsilon.broadcast(Fraction(-1, 10), 2)
 
+    def test_no_components_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            Epsilon(())
+
     def test_display_round_trips(self):
         for text in ("0", "0.01", "0.05", "0.1", "0.125", "1/3", "2"):
             e = Epsilon.broadcast(Fraction(text), 2)
@@ -400,6 +404,14 @@ class TestGraphAndPathCost:
         with pytest.raises(DimensionMismatch):
             MosGraph(2, ((1, 2, (1, 1, 1)),), objs)
 
+    def test_validation_rejects_empty_shapes(self):
+        with pytest.raises(EmptyGraph):
+            MosGraph(0, (), (Objective("a"),))
+        with pytest.raises(DimensionMismatch):
+            MosGraph(1, (), ())
+        with pytest.raises(ValueError):
+            Objective("a", scale=0)
+
     def test_csr_round_trip(self):
         g = random_graph(random.Random(33), 8, 0.4, 2)
         rebuilt = []
@@ -531,6 +543,10 @@ class TestCorrelationMatrix:
         g = MosGraph(2, ((1, 2, (1, 1)),), (Objective("a"), Objective("b")))
         with pytest.raises(EmptyGraph):
             objective_correlation_matrix(g)
+
+    def test_needs_two_cost_vectors(self):
+        with pytest.raises(EmptyGraph):
+            correlation_matrix_from_costs([(1, 2)])
 
     def test_symmetry(self):
         rng = random.Random(42)

@@ -303,3 +303,8 @@ class TestQuerySampling:
         g = generate_netmaker(NetMakerSpec(n=19, i_vertex=6, a_max=4, seed=23))
         with pytest.raises(EmptyGraph):
             sample_netmaker_queries(g, 1, 1)
+
+    def test_zero_count_rejected(self):
+        g = generate_netmaker(NetMakerSpec(n=100, seed=24))
+        with pytest.raises(ValueError):
+            sample_netmaker_queries(g, 0, 1)

@@ -671,7 +671,7 @@ def same_reports(got, want):
     assert [r.clean for r in got] == [r.clean for r in want]
 
 
-class TestWitnessMemo:
+class TestVerifyKeepsNoState:
     """Blocks verified one after another on one graph report what each
     block reports on a freshly read graph: verify keeps no state."""
 
@@ -896,9 +896,9 @@ class TestCoverageSweep:
 
     def test_real_fronts_missing_their_widest_cover(self):
         # On each reference query at eps 0.1, drop the approximate entry that
-        # covers the most exact costs: the nearest-first prefix scan, at d=2
-        # and at grid-8x8-d3, grid-6x6-d4 and panda-many (d=8), must name the
-        # same uncovered costs as the pairwise rule, in entry order.
+        # covers the most exact costs: the suffix-store sweep, at d=2 and at
+        # grid-8x8-d3, grid-6x6-d4 and panda-many (d=8), must name the same
+        # uncovered costs as the pairwise rule, in entry order.
         widths = set()
         missed = 0
         for name, graph, queries in _desk_instances():
@@ -917,6 +917,25 @@ class TestCoverageSweep:
                 missed += len(want)
         assert {2, 3, 4, 8} <= widths
         assert missed > 0
+
+    N = 10_000
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_uncovered_antichain_in_near_linear_time(self, d):
+        # Each approximate cost sits one unit above an exact cost in its last
+        # objective, so every exact cost stays uncovered, where a scan of the
+        # candidates below each one would be quadratic.
+        n = self.N
+        if d == 2:
+            exact = [(i, n - i) for i in range(n)]
+            approx = [(i, n - i + 1) for i in range(n)]
+        else:
+            exact = [(i, n - i, 0) for i in range(n)]
+            approx = [(i, n - i, 1) for i in range(n)]
+        eps = Epsilon.zero(d)
+        with deadline(2):
+            got = verify_coverage(self.as_set(exact, eps), self.as_set(approx, eps), eps)
+        assert got == (False, exact)
 
     @pytest.mark.parametrize(
         "exact,approx",
