@@ -115,7 +115,11 @@ def _arc_fields(text: str, start: int, d: int, num_arcs: int) -> list[int] | Non
 
 
 def write_graph(graph: MosGraph, path: str | Path) -> None:
-    """Write a graph in canonical form (sorted arcs, sorted metadata)."""
+    """Write a graph in canonical form (sorted arcs, sorted metadata).
+
+    Each arc line formats (u, v) + cost, so the costs must be tuples, the
+    core.Cost that every reader, converter and generator builds.
+    """
     out: list[str] = []
     names = [o.name for o in graph.objectives]
     for name in names:
@@ -133,7 +137,7 @@ def write_graph(graph: MosGraph, path: str | Path) -> None:
     if any(o.scale != 1 for o in graph.objectives):
         out.append("s " + " ".join(str(o.scale) for o in graph.objectives))
     arc = "a %s %s" + " %s" * graph.d
-    out += [arc % (u, v, *cost) for u, v, cost in sorted(graph.edges)]
+    out += [arc % ((u, v) + cost) for u, v, cost in sorted(graph.edges)]
     Path(path).write_bytes(("\n".join(out) + "\n").encode("ascii"))
 
 

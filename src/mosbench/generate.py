@@ -73,20 +73,26 @@ def generate_grid(spec: GridSpec) -> tuple[MosGraph, Query]:
     Interior edges come in row-major cell order (per cell the pair to its
     right, then the pair below, forward first), and each takes the next d
     draws of uniform_int(cost_low, cost_high) from the TAG_COSTS substream.
+    The cell loop fills a column of arc tails and a column of arc heads in
+    that order, and one zip of the two columns with the draws builds the
+    edges.
     """
     k, m, d = spec.k, spec.m, spec.d
     lo, hi = spec.cost_low, spec.cost_high
     with collector_paused():
-        arcs: list[tuple[int, int]] = []
+        tails: list[int] = []
+        heads: list[int] = []
         for v in range(1, k * m + 1):  # row-major cell order
             if v % k:  # not in the rightmost column
-                arcs += ((v, v + 1), (v + 1, v))
+                tails += (v, v + 1)
+                heads += (v + 1, v)
             if v <= k * (m - 1):  # not in the bottom row
-                arcs += ((v, v + k), (v + k, v))
+                tails += (v, v + k)
+                heads += (v + k, v)
         # d consecutive draws of uniform_int(lo, hi) per arc, in arc order
-        draws = substream(spec.seed, TAG_COSTS).bounded_run(hi - lo + 1, len(arcs) * d)
+        draws = substream(spec.seed, TAG_COSTS).bounded_run(hi - lo + 1, len(tails) * d)
         costs = map(lo.__add__, draws)
-        edges = [(u, v, cost) for (u, v), cost in zip(arcs, zip(*[costs] * d))]
+        edges = list(zip(tails, heads, zip(*[costs] * d)))
         source = k * m + 1
         target = k * m + 2
         zero = (0,) * d
@@ -141,7 +147,8 @@ def generate_netmaker(spec: NetMakerSpec) -> MosGraph:
         targets[u] = struct.uniform_int(spec.a_min + 1, spec.a_max)
 
     half = spec.i_vertex // 2
-    local: list[tuple[int, int]] = []
+    tails: list[int] = []  # the local arcs, as a column of tails and one of heads
+    heads: list[int] = []
     for u in range(1, n + 1):
         need = targets[u] - 1
         lo = max(1, u - half)
@@ -155,34 +162,37 @@ def generate_netmaker(spec: NetMakerSpec) -> MosGraph:
             )
         while need > 0 and candidates:
             j = struct.bounded(len(candidates))
-            local.append((u, candidates.pop(j)))
+            tails.append(u)
+            heads.append(candidates.pop(j))
             need -= 1
 
     costs = substream(spec.seed, TAG_COSTS)
-    edges: list[tuple[int, int, tuple[int, ...]]] = []
-    band_order = [0, 1, 2]
-    for u, w in cycle:
-        order = band_order[:]
-        costs.shuffle(order)
-        cost = tuple(costs.uniform_int(*CYCLE_BANDS[order[i]]) for i in range(3))
-        edges.append((u, w, cost))
-    lo, hi = LOCAL_RANGE
-    draws = map(lo.__add__, costs.bounded_run(hi - lo + 1, 3 * len(local)))
-    edges += [(u, w, cost) for (u, w), cost in zip(local, zip(draws, draws, draws))]
+    with collector_paused():
+        edges: list[tuple[int, int, tuple[int, ...]]] = []
+        band_order = [0, 1, 2]
+        for u, w in cycle:
+            order = band_order[:]
+            costs.shuffle(order)
+            cost = tuple(costs.uniform_int(*CYCLE_BANDS[order[i]]) for i in range(3))
+            edges.append((u, w, cost))
+        lo, hi = LOCAL_RANGE
+        draws = map(lo.__add__, costs.bounded_run(hi - lo + 1, 3 * len(tails)))
+        edges += zip(tails, heads, zip(draws, draws, draws))
 
-    return MosGraph(
-        num_vertices=n,
-        edges=tuple(edges),
-        objectives=(Objective("c1"), Objective("c2"), Objective("c3")),
-        metadata={
-            "family": "netmaker",
-            "n": str(n),
-            "i_vertex": str(spec.i_vertex),
-            "a_min": str(spec.a_min),
-            "a_max": str(spec.a_max),
-            "seed": str(spec.seed),
-        },
-    )
+        graph = MosGraph(
+            num_vertices=n,
+            edges=tuple(edges),
+            objectives=(Objective("c1"), Objective("c2"), Objective("c3")),
+            metadata={
+                "family": "netmaker",
+                "n": str(n),
+                "i_vertex": str(spec.i_vertex),
+                "a_min": str(spec.a_min),
+                "a_max": str(spec.a_max),
+                "seed": str(spec.seed),
+            },
+        )
+    return graph
 
 
 def netmaker_edge_kinds(graph: MosGraph) -> tuple[list[int], list[int]]:

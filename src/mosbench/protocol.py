@@ -200,8 +200,10 @@ def verify_solutions(
     Entries without witness paths only get the set-level checks.  A cost
     with a different number of components than the graph has objectives
     raises DimensionMismatch.  Dominance is checked against the set's
-    sort-and-sweep Pareto front; only an entry off that front is compared
-    pairwise, in entry order, to name the first entry that dominates it.
+    sort-and-sweep Pareto front.  Each entry off that front is reported
+    with the first entry, in entry order, that dominates it: at d=2 one
+    sweep finds them all (_first_dominators), at other d a pairwise scan
+    from entry 0 finds each.
 
     Witnesses are checked in two passes.  The first, in entry order, checks
     each path's endpoints and groups the witnesses left by path.  The
@@ -224,13 +226,16 @@ def verify_solutions(
         else:
             seen[c] = i
     front = set(pareto_filter(costs))
-    for i, ci in enumerate(costs):
-        if ci in front:
-            continue
-        for j, cj in enumerate(costs):
-            if i != j and dominates(cj, ci):
-                v.append(f"DominanceViolation: entry {i} is dominated by entry {j}")
-                break
+    if len(front) < len(seen):  # some entry is off the front
+        first = _first_dominators(seen) if d == 2 else None
+        for i, ci in enumerate(costs):
+            if ci in front:
+                continue
+            if first is None:
+                j = next(j for j, cj in enumerate(costs) if dominates(cj, ci))
+            else:
+                j = first[ci]
+            v.append(f"DominanceViolation: entry {i} is dominated by entry {j}")
     source, target = query.source, query.target
     entries = solset.entries
     found: dict[int, tuple[str, str]] = {}
@@ -254,6 +259,37 @@ def verify_solutions(
                     found[i] = fault
     v += [f"{kind}: entry {i}{text}" for i, (kind, text) in sorted(found.items())]
     return VerificationReport(v)
+
+
+def _first_dominators(first: dict[Cost, int]) -> dict[Cost, int]:
+    """Each dominated cost mapped to the first entry that dominates it.
+
+    first maps each distinct d=2 cost to the index of its first entry, so
+    a cost's first dominator is the least index among the costs that
+    dominate it.  In lexicographic order every cost that dominates c comes
+    before c, and every earlier cost whose second component is <= c's
+    dominates it.  So one sweep asks, before it inserts c, for the least
+    index held at a second-cost rank <= c's, in a Fenwick tree of prefix
+    minima; an equal cost is never in the tree when asked about.
+    """
+    order = sorted(first)
+    rank = {b: r for r, b in enumerate(sorted({c[1] for c in order}), 1)}
+    tree = [math.inf] * (len(rank) + 1)
+    out: dict[Cost, int] = {}
+    for c in order:
+        r = at = rank[c[1]]
+        least = math.inf
+        while at:
+            least = min(least, tree[at])
+            at &= at - 1
+        if least < math.inf:
+            out[c] = least
+        at, j = r, first[c]
+        while at < len(tree):
+            if j < tree[at]:
+                tree[at] = j
+            at += at & -at
+    return out
 
 
 def _witness_faults(

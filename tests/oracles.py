@@ -4,6 +4,8 @@ None of these is used by the toolkit itself: exhaustive path enumeration
 stands in for the exact search, the sums over every choice of parallel arcs
 stand in for verify's pruned walk, and the dominance predicates spell out
 the definitions that the solvers and verifiers evaluate in their own way.
+A per-cell arc loop with one draw per cost component stands in for the
+grid generator's columns, and a line-by-line text for write_graph's.
 """
 from __future__ import annotations
 
@@ -13,6 +15,8 @@ from typing import Sequence
 
 from mosbench.core import Cost, Epsilon, MosGraph, Query, SolutionEntry, SolutionSet
 from mosbench.errors import DimensionMismatch, MosbenchError
+from mosbench.generate import GridSpec
+from mosbench.rng import TAG_COSTS, substream
 from mosbench.solve import _check_vertex
 
 
@@ -125,3 +129,41 @@ def brute_force_pareto(
     front = [c for c in costs if not any(k != c and weakly_dominates(k, c) for k in costs)]
     entries = tuple(SolutionEntry(c, found[c]) for c in front)
     return SolutionSet(query, Epsilon.zero(d), entries)
+
+
+def grid_edges(spec: GridSpec) -> tuple[tuple[int, int, Cost], ...]:
+    """generate_grid's edge tuple, built one cell and one draw at a time.
+
+    Per cell in row-major order the pair to its right, then the pair below,
+    forward first; each arc takes d uniform_int draws from the TAG_COSTS
+    substream.  Then the zero-cost source arcs and target arcs, row by row.
+    """
+    k, m, d = spec.k, spec.m, spec.d
+    arcs: list[tuple[int, int]] = []
+    for v in range(1, k * m + 1):
+        if v % k:  # not in the rightmost column
+            arcs += ((v, v + 1), (v + 1, v))
+        if v <= k * (m - 1):  # not in the bottom row
+            arcs += ((v, v + k), (v + k, v))
+    rng = substream(spec.seed, TAG_COSTS)
+    edges = [
+        (u, v, tuple(rng.uniform_int(spec.cost_low, spec.cost_high) for _ in range(d)))
+        for u, v in arcs
+    ]
+    source, target, zero = k * m + 1, k * m + 2, (0,) * d
+    edges += [(source, y * k + 1, zero) for y in range(m)]
+    edges += [((y + 1) * k, target, zero) for y in range(m)]
+    return tuple(edges)
+
+
+def graph_text(graph: MosGraph) -> str:
+    """write_graph's text, one line at a time: the objectives, the sorted
+    metadata, the problem line, the scales when one is not 1, then one
+    `a u v c_1 .. c_d` line per arc in sorted order."""
+    lines = ["c objectives " + ",".join(o.name for o in graph.objectives)]
+    lines += [f"c meta {key} {graph.metadata[key]}" for key in sorted(graph.metadata)]
+    lines.append(f"p mosp {graph.num_vertices} {len(graph.edges)} {graph.d}")
+    if any(o.scale != 1 for o in graph.objectives):
+        lines.append("s " + " ".join(str(o.scale) for o in graph.objectives))
+    lines += ["a " + " ".join(map(str, (u, v, *cost))) for u, v, cost in sorted(graph.edges)]
+    return "\n".join(lines) + "\n"

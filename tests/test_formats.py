@@ -36,6 +36,7 @@ from mosbench.formats import (
 )
 
 from conftest import ARC_BENDS, bent_arc_block, file_texts, random_graph, read_outcome
+from oracles import graph_text
 
 
 class TestGraphFormat:
@@ -242,7 +243,7 @@ _META_VALUE = st.text(string.printable, max_size=8).filter(
 @st.composite
 def writable_graphs(draw) -> MosGraph:
     """Graphs write_graph accepts: parallel arcs, zero costs, scales, metadata."""
-    d = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 5))
     n = draw(st.integers(1, 6))
     cost = st.tuples(*[st.integers(0, 3) | st.integers(0, 2**70)] * d)
     arc = st.tuples(st.integers(1, n), st.integers(1, n), cost)
@@ -270,6 +271,13 @@ def test_graph_write_read_write_is_byte_identical(tmp_path_factory, g):
     write_graph(back, p)
     assert p.read_bytes() == first
 
+
+@settings(max_examples=200, deadline=None)
+@given(writable_graphs())
+def test_graph_bytes_match_line_by_line_oracle(tmp_path_factory, g):
+    p = tmp_path_factory.mktemp("oracle") / "g.gr"
+    write_graph(g, p)
+    assert p.read_bytes() == graph_text(g).encode("ascii")
 
 
 class TestReadObjectives:

@@ -4,6 +4,8 @@ from __future__ import annotations
 from collections import deque
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mosbench.core import MosGraph, Query
 from mosbench.errors import EmptyGraph, ExhaustedPairs, WindowTooSmall
@@ -17,6 +19,8 @@ from mosbench.generate import (
     sample_netmaker_queries,
 )
 from mosbench.rng import TAG_COSTS, TAG_STRUCTURE, substream
+
+from oracles import grid_edges
 
 CHI2_CRIT_DF9 = 27.878
 
@@ -52,28 +56,32 @@ class TestGrid:
         "d, k, m", [(2, 4, 3), (3, 4, 3), (4, 4, 3), (3, 24, 24)], ids=["2", "3", "4", "3-24x24"]
     )
     def test_known_answer(self, d, k, m):
-        # hand-built expectation: interior pairs in row-major cell order, the
-        # right pair then the down pair, forward first; d draws per edge.
         # The 24x24 grid takes 6,624 draws, more than one bounded_run chunk.
-        seed = 17 + d
-        rng = substream(seed, TAG_COSTS)
-        expected = []
-        for y in range(1, m + 1):
-            for x in range(1, k + 1):
-                v = (y - 1) * k + x
-                pairs = []
-                if x < k:
-                    pairs += [(v, v + 1), (v + 1, v)]
-                if y < m:
-                    pairs += [(v, v + k), (v + k, v)]
-                for a, b in pairs:
-                    expected.append((a, b, tuple(rng.uniform_int(2, 9) for _ in range(d))))
-        zero = (0,) * d
-        expected += [(k * m + 1, (y - 1) * k + 1, zero) for y in range(1, m + 1)]
-        expected += [(y * k, k * m + 2, zero) for y in range(1, m + 1)]
-        g, q = generate_grid(GridSpec(k=k, m=m, d=d, seed=seed, cost_low=2, cost_high=9))
-        assert g.edges == tuple(expected)
+        spec = GridSpec(k=k, m=m, d=d, seed=17 + d, cost_low=2, cost_high=9)
+        g, q = generate_grid(spec)
+        assert g.edges == grid_edges(spec)
         assert (g.num_vertices, q) == (k * m + 2, Query(k * m + 1, k * m + 2, 0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.builds(
+            GridSpec,
+            k=st.integers(1, 7),
+            m=st.integers(1, 7),
+            d=st.integers(2, 4),
+            seed=st.integers(0, 2**64 - 1),
+            cost_low=st.integers(0, 3),
+            cost_high=st.integers(3, 2**40),
+        )
+    )
+    @example(GridSpec(k=1, m=5, d=2, seed=1))
+    @example(GridSpec(k=5, m=1, d=4, seed=2))
+    @example(GridSpec(k=1, m=1, d=3, seed=3))
+    @example(GridSpec(k=4, m=3, d=3, seed=4, cost_low=7, cost_high=7))
+    @example(GridSpec(k=3, m=4, d=2, seed=5, cost_low=0, cost_high=0))
+    @example(GridSpec(k=6, m=5, d=4, seed=6, cost_low=0, cost_high=1))
+    def test_edges_match_per_cell_oracle(self, spec):
+        assert generate_grid(spec)[0].edges == grid_edges(spec)
 
     def test_costs_in_declared_range(self):
         g, _ = generate_grid(GridSpec(k=9, m=8, d=3, seed=5))

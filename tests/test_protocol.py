@@ -439,6 +439,23 @@ class TestVerifySolutions:
         ss = SolutionSet(q, Epsilon.zero(d), tuple(SolutionEntry(c) for c in costs))
         assert verify_solutions(g, q, ss).violations == pairwise_set_violations(costs)
 
+    def test_first_dominators_of_a_large_d2_block_in_near_linear_time(self):
+        # Antichain cost (i, N-i) at entry 2i, then (i, N-i+1) at entry
+        # 2i+1, which (i-1, N-i+1) and (i, N-i) dominate: its first
+        # dominator is entry 2i-2 (entry 0 for i=0), so a scan from entry 0
+        # walks about half the block per dominated entry.
+        n = 4_000
+        costs = [c for i in range(n) for c in ((i, n - i), (i, n - i + 1))]
+        g = MosGraph(1, (), (Objective("a"), Objective("b")))
+        q = Query(1, 1, 0)
+        ss = SolutionSet(q, Epsilon.zero(2), tuple(SolutionEntry(c) for c in costs))
+        with deadline(2):
+            got = verify_solutions(g, q, ss).violations
+        assert got == [
+            f"DominanceViolation: entry {2 * i + 1} is dominated by entry {max(2 * i - 2, 0)}"
+            for i in range(n)
+        ]
+
     @settings(max_examples=300, deadline=None)
     @given(tampered_fronts())
     def test_tampered_fronts_match_reference_loop(self, case):

@@ -12,8 +12,9 @@ sha256 digests per instance are compared with `reference_digests.json`:
 A change that moves a front fails `costs` and `sol`; one that only changes
 a witness path or a tie fails `sol` alone.  After a deliberate change to the
 instances or fronts, rewrite the file with
-`PYTHONPATH=src python3 tests/test_reference_digests.py` and say in
-CHANGES.md which digests moved and why.
+`PYTHONPATH=src python3 tests/test_reference_digests.py`, which prints one
+`instance: key` line per digest that moved (nothing when none did), and say
+in CHANGES.md which digests moved and why.
 """
 from __future__ import annotations
 
@@ -63,6 +64,17 @@ def _reference() -> dict[str, dict[str, str]]:
     return json.loads(DIGEST_FILE.read_text(encoding="ascii"))
 
 
+def moved_digests(old: dict[str, dict[str, str]], new: dict[str, dict[str, str]]) -> list[str]:
+    """`instance: key` for each digest that differs between two tables, one
+    table lacking it included, sorted."""
+    keys = {(name, key) for table in (old, new) for name in table for key in table[name]}
+    return [
+        f"{name}: {key}"
+        for name, key in sorted(keys)
+        if old.get(name, {}).get(key) != new.get(name, {}).get(key)
+    ]
+
+
 @pytest.mark.parametrize(
     "name, graph, queries", [pytest.param(*case, id=case[0]) for case in _instances()]
 )
@@ -77,9 +89,19 @@ def test_digest_file_covers_every_instance():
     assert sorted(_reference()) == sorted(name for name, _, _ in _instances())
 
 
+def test_moved_digests_names_each_changed_or_missing_digest():
+    old = {"a": {"graph": "1", "sol": "2"}, "b": {"graph": "3"}}
+    assert moved_digests(old, old) == []
+    new = {"a": {"graph": "1", "sol": "9"}, "c": {"graph": "4"}}
+    assert moved_digests(old, new) == ["a: sol", "b: graph", "c: graph"]
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         table = {name: instance_digests(name, g, qs, Path(tmp)) for name, g, qs in _instances()}
+    previous = _reference() if DIGEST_FILE.exists() else {}
     DIGEST_FILE.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n", encoding="ascii")
+    for line in moved_digests(previous, table):
+        print(line)
