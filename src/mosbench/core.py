@@ -213,10 +213,11 @@ def _fraction_text(value: Fraction) -> str:
 class Epsilon:
     """Per-objective relative slack, held exactly as fractions.
 
-    A vector p epsilon-dominates q when p_i <= (1 + eps_i) * q_i for all i
-    with strict inequality (or strict dominance via equality of p and q being
-    excluded) somewhere.  Comparisons multiply through by the denominator so
-    no floats are ever involved.
+    With (num_k, den_k) the fraction form of 1 + eps_k, a vector p
+    epsilon-dominates q when den_k * p_k <= num_k * q_k for every k and the
+    two scaled vectors differ.  solve._eps_front and protocol.verify_coverage
+    apply this rule; it is all integer arithmetic, so no floats are ever
+    involved.
     """
 
     values: tuple[Fraction, ...]
@@ -412,15 +413,31 @@ def dominates(p: Sequence[int], q: Sequence[int]) -> bool:
 
 
 def _suffix_fronts(d: int, count: int) -> tuple[Callable[..., bool], Callable[..., None]]:
-    """count stores of non-dominated (d-1)-suffixes, each None until used.
+    """count stores of non-dominated (d-1)-suffixes, in one of three forms
+    chosen by d.
 
     Among costs met in lexicographic order, one is dominated exactly when an
     earlier one's suffix c[1:] is <= its own.  dominated(v, s) asks whether
     a suffix in store v is <= s; insert(v, s), for an s it rejected, adds s
-    and drops the suffixes s dominates.  d=3 keeps g2 ascending and g3
-    strictly descending (one bisect per check); other d scan a pool at C level.
+    and drops the suffixes s dominates.  The forms:
+
+    - d=2: the running minimum of the second cost, inf until used (BOA*'s
+      scalar bound, which _search_bi inlines as g2min and tbound);
+    - d=3: a staircase, g2 ascending and g3 strictly descending, None until
+      used; a check is one bisect (EMOA*'s truncated dominance);
+    - other d: a pool of suffixes, None until used, scanned at C level.
     """
-    if d == 3:
+    if d == 2:
+        low: list[float] = [float("inf")] * count
+
+        def dominated(v: int, s: Cost) -> bool:
+            return low[v] <= s[0]
+
+        def insert(v: int, s: Cost) -> None:
+            # s was rejected, so s[0] is below the store's minimum.
+            low[v] = s[0]
+
+    elif d == 3:
         g2s: list[list[int] | None] = [None] * count
         g3s: list[list[int] | None] = [None] * count
 
@@ -463,9 +480,9 @@ def pareto_filter(costs: Iterable[Cost]) -> list[Cost]:
     """The non-dominated subset, deduplicated, sorted lexicographically.
 
     After a lexicographic sort a vector is dominated exactly when an earlier
-    one has a suffix c[1:] no larger.  For d=2 that is the second cost, and
-    one sweep keeps its running minimum; other d ask one _suffix_fronts
-    store, inserting the suffix of each vector they keep.
+    one has a suffix c[1:] no larger.  Every d asks one _suffix_fronts
+    store (a running minimum at d=2), inserting the suffix of each vector
+    it keeps.
     """
     pool = sorted(set(map(tuple, costs)))
     if not pool:
@@ -475,18 +492,12 @@ def pareto_filter(costs: Iterable[Cost]) -> list[Cost]:
         if len(c) != d:
             raise DimensionMismatch("mixed cost vector lengths")
     front: list[Cost] = []
-    if d == 2:
-        low = pool[0][1] + 1
-        for c in pool:
-            if c[1] < low:
-                front.append(c)
-                low = c[1]
-        return front
     dominated, insert = _suffix_fronts(d, 1)
     for c in pool:
-        if not dominated(0, c[1:]):
+        s = c[1:]
+        if not dominated(0, s):
             front.append(c)
-            insert(0, c[1:])
+            insert(0, s)
     return front
 
 

@@ -200,7 +200,9 @@ def verify_solutions(
     Entries without witness paths only get the set-level checks.  A cost
     with a different number of components than the graph has objectives
     raises DimensionMismatch.  Dominance is checked against the set's
-    sort-and-sweep Pareto front.  Each entry off that front is reported
+    Pareto front from pareto_filter: one lexicographic sweep that asks one
+    _suffix_fronts store, in its form for d (a running minimum of the
+    second cost at d=2).  Each entry off that front is reported
     with the first entry, in entry order, that dominates it: at d=2 one
     sweep finds them all (_first_dominators), at other d a pairwise scan
     from entry 0 finds each.

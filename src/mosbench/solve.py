@@ -4,13 +4,15 @@ The production solver is best-first label setting over a lexicographic
 ordering of f = g + h, with the dimensionality-reduction dominance device:
 because labels of one vertex leave the open list in lexicographic order,
 their first f component is non-decreasing, so dominance among them only
-needs the (d-1)-suffix of g.  For d = 2 that suffix is a single scalar per
-vertex; other d keep one core._suffix_fronts store per vertex, the same
-structure pareto_filter and _eps_front use.  The target is an ordinary
-vertex (h = 0 there, so f = g): its closed set is the target bound
-(g2min[tgt] at d = 2, its suffix store otherwise), and a target label that
-passes the common prune test is recorded, not expanded, so a one-vertex
-query records its zero cost and ends.  Heap keys are single big integers
+needs the (d-1)-suffix of g.  Each vertex keeps one core._suffix_fronts
+store, the structure pareto_filter, _eps_front and verify_coverage use;
+its form is chosen by d.  At d = 2 that form is the smallest second cost
+closed at the vertex, a single scalar, which _search_bi inlines as g2min;
+other d call the store.  The target is an ordinary vertex (h = 0 there, so
+f = g): its closed set is the target bound (tbound, equal to g2min[tgt],
+at d = 2, its suffix store otherwise), and a target label that passes the
+common prune test is recorded, not expanded, so a one-vertex query records
+its zero cost and ends.  Heap keys are single big integers
 packing (f, vertex, parent's closed id), which keeps comparisons cheap and
 memory flat.  Labels that tie on (f, vertex) have equal g, and closed ids
 grow in expansion order, so the pop order is the order of their parents'
@@ -123,7 +125,10 @@ def _search_bi(
 ) -> list[tuple[Cost, tuple[int, ...]]]:
     """Specialized d=2 search; the per-vertex closed set is one scalar.
 
-    g2min[tgt] is the target bound; a one-vertex query is no special case."""
+    g2min[v] is the d=2 form of core._suffix_fronts, the running minimum of
+    the second cost closed at v, inlined for speed: its checks are integer
+    comparisons in the arc loop, not calls.  tbound is the same minimum at
+    the target, where it bounds f2.  A one-vertex query is no special case."""
     n = graph.num_vertices
     src, tgt = query.source, query.target
     arcs = graph.out_arcs

@@ -255,30 +255,38 @@ class TestParetoFilter:
 
 @st.composite
 def sorted_cost_streams(draw):
-    """d 1-5 and a lexicographically sorted list of d-vectors, with repeats
-    and zeros."""
+    """d 1-5, a store count 1-4 and a list of (store, d-vector) pairs whose
+    vectors are sorted lexicographically, so each store's own stream is
+    too; with repeats, zeros and components beyond float range."""
     d = draw(st.integers(1, 5))
-    pool = draw(st.lists(st.tuples(*[st.integers(0, 3)] * d), min_size=1, max_size=12))
-    costs = draw(st.lists(st.sampled_from(pool), max_size=40))
-    return d, sorted(costs)
+    count = draw(st.integers(1, 4))
+    component = st.integers(0, 3) | st.integers(2**1024, 2**1024 + 3)
+    pool = draw(st.lists(st.tuples(*[component] * d), min_size=1, max_size=12))
+    costs = sorted(draw(st.lists(st.sampled_from(pool), max_size=40)))
+    return d, count, [(draw(st.integers(0, count - 1)), c) for c in costs]
 
 
 class TestSuffixFronts:
     @settings(max_examples=400, deadline=None)
     @given(sorted_cost_streams())
+    # One store must not answer for another.
+    @example((2, 2, [(0, (0, 1)), (1, (1, 2))]))
+    # An empty store dominates nothing, however large the suffix.
+    @example((2, 1, [(0, (0, 2**1025))]))
     def test_matches_a_scan_of_every_inserted_suffix(self, case):
         # The store drops suffixes that a later insert dominates; the scan
-        # keeps every one, so it checks that dropping loses no answer.
-        d, costs = case
-        dominated, insert = _suffix_fronts(d, 1)
-        inserted = []
-        for c in costs:
+        # keeps every one, so it checks that dropping loses no answer.  Each
+        # store is scanned on its own.
+        d, count, stream = case
+        dominated, insert = _suffix_fronts(d, count)
+        inserted = [[] for _ in range(count)]
+        for v, c in stream:
             s = c[1:]
-            want = any(all(map(le, p, s)) for p in inserted)
-            assert dominated(0, s) == want
+            want = any(all(map(le, p, s)) for p in inserted[v])
+            assert dominated(v, s) == want
             if not want:
-                insert(0, s)
-                inserted.append(s)
+                insert(v, s)
+                inserted[v].append(s)
 
 
 def reference_path_cost(graph: MosGraph, path):
