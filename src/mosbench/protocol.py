@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -110,18 +109,21 @@ def run_benchmark(
 ) -> tuple[list[SolutionSet], list[BenchmarkRecord]]:
     """Solve every (query, epsilon) pair; order is query-major, epsilon-minor.
 
-    One heuristic is built per distinct target and shared.  Each query runs
-    one exact search; its epsilon fronts are filtered from the exact front.
-    A query whose (source, target) repeats an earlier one reuses that
-    query's front, bound to its own Query, or its timeout: only endpoints
-    that occur more than once keep their front.  A record's ms is the
-    query's search time (the first search's, for a repeat) plus the time of
-    that row's own filter, so it is the time to produce that front from the
-    shared heuristic.  A search that exceeds the timeout yields a timeout
-    record and no solution set for every epsilon of its query; the batch
-    always continues.  A timeout_ms of None or inf means no limit; NaN or <= 0
+    One heuristic is built per distinct target, at that target's first
+    query, and dropped after its last one.  Each query runs one exact
+    search; its epsilon fronts are filtered from the exact front.  A query
+    whose (source, target) repeats an earlier one reuses that query's
+    front, bound to its own Query, or its timeout: a pair's front is kept
+    from its first query to its last.  A record's ms is the query's search
+    time (the first search's, for a repeat) plus the time of that row's own
+    filter, so it is the time to produce that front from the shared
+    heuristic.  A search that exceeds the timeout yields a timeout record
+    and no solution set for every epsilon of its query; the batch always
+    continues.  A timeout_ms of None or inf means no limit; NaN or <= 0
     raises ValueError before any work.  So does an epsilon listed twice,
-    and one whose width is not graph.d raises DimensionMismatch.
+    and one whose width is not graph.d raises DimensionMismatch.  A source
+    or target outside 1..graph.num_vertices raises TargetOutOfRange at its
+    query, after the earlier queries have run and reported progress.
     """
     _check_time_limit(timeout_ms, "timeout_ms")
     if grid is None:
@@ -135,22 +137,17 @@ def run_benchmark(
     # The heuristics build in_arcs; out_arcs is built here so that the
     # first query's ms does not count building the graph's rows.
     graph.out_arcs
+    target_last = {q.target: i for i, q in enumerate(queries)}
+    pair_last = {(q.source, q.target): i for i, q in enumerate(queries)}
     heuristics: dict[int, HeuristicTable] = {}
-    for q in queries:
-        if q.target not in heuristics:
-            heuristics[q.target] = ideal_point_heuristic(graph, q.target)
-
-    ends = Counter((q.source, q.target) for q in queries)
     kept: dict[tuple[int, int], tuple[SolutionSet | None, float]] = {}
     sets: list[SolutionSet] = []
     records: list[BenchmarkRecord] = []
-    for query in queries:
+    for at, query in enumerate(queries):
         pair = (query.source, query.target)
-        if pair in kept:
-            exact, search_ms = kept[pair]
-            if exact is not None:
-                exact = SolutionSet(query, exact.epsilon, exact.entries)
-        else:
+        if pair not in kept:
+            if query.target not in heuristics:
+                heuristics[query.target] = ideal_point_heuristic(graph, query.target)
             t0 = monotonic()
             try:
                 exact = solve_exact(
@@ -158,9 +155,12 @@ def run_benchmark(
                 )
             except SearchTimeout:
                 exact = None
-            search_ms = (monotonic() - t0) * 1000.0
-            if ends[pair] > 1:
-                kept[pair] = exact, search_ms
+            kept[pair] = exact, (monotonic() - t0) * 1000.0
+        if target_last[query.target] == at:
+            del heuristics[query.target]
+        exact, search_ms = kept.pop(pair) if pair_last[pair] == at else kept[pair]
+        if exact is not None:
+            exact = SolutionSet(query, exact.epsilon, exact.entries)
         for eps in eps_list:
             if exact is None:
                 rec = BenchmarkRecord(
@@ -203,7 +203,7 @@ def verify_solutions(
     Pareto front from pareto_filter: one lexicographic sweep that asks one
     _suffix_fronts store, in its form for d (a running minimum of the
     second cost at d=2).  Each entry off that front is reported
-    with the first entry, in entry order, that dominates it: at d=2 one
+    with the first entry, in entry order, that dominates it: at d <= 2 one
     sweep finds them all (_first_dominators), at other d a pairwise scan
     from entry 0 finds each.
 
@@ -229,7 +229,7 @@ def verify_solutions(
             seen[c] = i
     front = set(pareto_filter(costs))
     if len(front) < len(seen):  # some entry is off the front
-        first = _first_dominators(seen) if d == 2 else None
+        first = _first_dominators(seen) if d <= 2 else None
         for i, ci in enumerate(costs):
             if ci in front:
                 continue
@@ -266,20 +266,22 @@ def verify_solutions(
 def _first_dominators(first: dict[Cost, int]) -> dict[Cost, int]:
     """Each dominated cost mapped to the first entry that dominates it.
 
-    first maps each distinct d=2 cost to the index of its first entry, so
-    a cost's first dominator is the least index among the costs that
-    dominate it.  In lexicographic order every cost that dominates c comes
-    before c, and every earlier cost whose second component is <= c's
-    dominates it.  So one sweep asks, before it inserts c, for the least
-    index held at a second-cost rank <= c's, in a Fenwick tree of prefix
-    minima; an equal cost is never in the tree when asked about.
+    first maps each distinct cost of one or two components to the index of
+    its first entry, so a cost's first dominator is the least index among
+    the costs that dominate it.  In lexicographic order every cost that
+    dominates c comes before c, and every earlier cost whose suffix c[1:]
+    is <= c's dominates it.  So one sweep asks, before it inserts c, for
+    the least index held at a suffix rank <= c's, in a Fenwick tree of
+    prefix minima; an equal cost is never in the tree when asked about.
+    At d=1 every suffix is (), one rank, so the answer is the least index
+    of every earlier cost.
     """
     order = sorted(first)
-    rank = {b: r for r, b in enumerate(sorted({c[1] for c in order}), 1)}
+    rank = {b: r for r, b in enumerate(sorted({c[1:] for c in order}), 1)}
     tree = [math.inf] * (len(rank) + 1)
     out: dict[Cost, int] = {}
     for c in order:
-        r = at = rank[c[1]]
+        r = at = rank[c[1:]]
         least = math.inf
         while at:
             least = min(least, tree[at])

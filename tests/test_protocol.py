@@ -5,6 +5,7 @@ import importlib.util
 import random
 import signal
 import tracemalloc
+import weakref
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
@@ -35,6 +36,7 @@ from mosbench.errors import (
     NonEdge,
     NoRecords,
     QueryMismatch,
+    TargetOutOfRange,
 )
 from mosbench.formats import read_graph, read_solutions, write_graph, write_solutions
 from mosbench.generate import GridSpec, NetMakerSpec, generate_grid, generate_netmaker
@@ -252,6 +254,44 @@ class TestRunBenchmark:
         if timeout_ms is not None:  # a repeat's timeout rows keep the first search's ms
             assert [r.ms for r in records[8:12]] == [r.ms for r in records[:4]]
 
+    def test_heuristic_lives_from_its_targets_first_query_to_its_last(self, monkeypatch):
+        import mosbench.protocol
+
+        build = mosbench.protocol.ideal_point_heuristic
+        search = mosbench.protocol.solve_exact
+        alive = weakref.WeakSet()
+        built, at_search = [], []
+
+        def tracked(graph, target):
+            h = build(graph, target)
+            alive.add(h)
+            built.append(target)
+            return h
+
+        def counted(graph, query, *args, **kwargs):
+            at_search.append({h.target for h in alive})
+            return search(graph, query, *args, **kwargs)
+
+        monkeypatch.setattr(mosbench.protocol, "ideal_point_heuristic", tracked)
+        monkeypatch.setattr(mosbench.protocol, "solve_exact", counted)
+        g, _ = diamond_graph()
+        targets = [2, 3, 2, 4]
+        queries = [Query(s, t, i) for i, (s, t) in enumerate(zip([1, 1, 3, 1], targets))]
+        run_benchmark(g, queries)
+        assert built == [2, 3, 4]
+        # At each search, the targets already met that still have a query to come.
+        assert at_search == [
+            set(targets[: i + 1]) & set(targets[i:]) for i in range(len(targets))
+        ]
+        assert not alive
+
+    def test_target_out_of_range_raises_at_its_query(self):
+        g, q = diamond_graph()
+        seen = []
+        with pytest.raises(TargetOutOfRange, match="target 5 outside 1..4"):
+            run_benchmark(g, [q, Query(1, 5, 1)], progress=seen.append)
+        assert [r.query_index for r in seen] == [0] * len(EpsilonGrid().values)
+
 
 @st.composite
 def unsorted_cost_sets(draw):
@@ -439,21 +479,32 @@ class TestVerifySolutions:
         ss = SolutionSet(q, Epsilon.zero(d), tuple(SolutionEntry(c) for c in costs))
         assert verify_solutions(g, q, ss).violations == pairwise_set_violations(costs)
 
-    def test_first_dominators_of_a_large_d2_block_in_near_linear_time(self):
-        # Antichain cost (i, N-i) at entry 2i, then (i, N-i+1) at entry
-        # 2i+1, which (i-1, N-i+1) and (i, N-i) dominate: its first
-        # dominator is entry 2i-2 (entry 0 for i=0), so a scan from entry 0
-        # walks about half the block per dominated entry.
-        n = 4_000
-        costs = [c for i in range(n) for c in ((i, n - i), (i, n - i + 1))]
-        g = MosGraph(1, (), (Objective("a"), Objective("b")))
+    @pytest.mark.parametrize(
+        "costs, first",
+        [
+            # Antichain cost (i, N-i) at entry 2i, then (i, N-i+1) at entry
+            # 2i+1, which (i-1, N-i+1) and (i, N-i) dominate: its first
+            # dominator is entry 2i-2 (entry 0 for i=0), so a scan from entry 0
+            # walks about half the block per dominated entry.
+            (
+                [c for i in range(4_000) for c in ((i, 4_000 - i), (i, 4_000 - i + 1))],
+                {2 * i + 1: max(2 * i - 2, 0) for i in range(4_000)},
+            ),
+            # Strictly decreasing 1-costs: entry i is dominated by every later
+            # entry, first by entry i + 1, so a scan from entry 0 walks i + 2.
+            ([(8_000 - i,) for i in range(8_000)], {i: i + 1 for i in range(7_999)}),
+        ],
+        ids=["d2", "d1"],
+    )
+    def test_first_dominators_of_a_large_block_in_near_linear_time(self, costs, first):
+        d = len(costs[0])
+        g = MosGraph(1, (), tuple(Objective(f"c{k + 1}") for k in range(d)))
         q = Query(1, 1, 0)
-        ss = SolutionSet(q, Epsilon.zero(2), tuple(SolutionEntry(c) for c in costs))
+        ss = SolutionSet(q, Epsilon.zero(d), tuple(SolutionEntry(c) for c in costs))
         with deadline(2):
             got = verify_solutions(g, q, ss).violations
         assert got == [
-            f"DominanceViolation: entry {2 * i + 1} is dominated by entry {max(2 * i - 2, 0)}"
-            for i in range(n)
+            f"DominanceViolation: entry {i} is dominated by entry {j}" for i, j in first.items()
         ]
 
     @settings(max_examples=300, deadline=None)
