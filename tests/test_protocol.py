@@ -268,12 +268,12 @@ class TestRunBenchmark:
             built.append(target)
             return h
 
-        def counted(graph, query, *args, **kwargs):
+        def observed(graph, query, *args, **kwargs):
             at_search.append({h.target for h in alive})
             return search(graph, query, *args, **kwargs)
 
         monkeypatch.setattr(mosbench.protocol, "ideal_point_heuristic", tracked)
-        monkeypatch.setattr(mosbench.protocol, "solve_exact", counted)
+        monkeypatch.setattr(mosbench.protocol, "solve_exact", observed)
         g, _ = diamond_graph()
         targets = [2, 3, 2, 4]
         queries = [Query(s, t, i) for i, (s, t) in enumerate(zip([1, 1, 3, 1], targets))]
